@@ -36,7 +36,9 @@ from .pauli import (
     Lim,
     PauliLim,
     ZeroLim,
+    find_opposite,
     format_lim,
+    gf2_eliminate,
     group_product,
     identity,
     inverse,
@@ -285,48 +287,22 @@ class DiagramStore:
     # -- stabilizer machinery ----------------------------------------------
 
     def _union_rows(self, g0: GeneratorSet, g1: GeneratorSet):
-        """Reduced row basis of <g0 union g1> with factor tracking: rows are
-        (string key, pivot bit, p0, p1) with p0 in <g0>, p1 in <g1> and
-        string(p0.p1) = key.  Signs of p0, p1 are exact; the row strings
-        follow plain GF(2) elimination."""
+        """Reduced row basis of the strings of <g0 union g1>: rows are
+        (string key, pivot bit, sel) where the low len(g0) bits of sel pick
+        g0 generators, the rest pick g1 generators, and the product of the
+        picked generators has string key."""
         memo_key = (g0.content_key(), g1.content_key())
         rows = self._union_rows_memo.get(memo_key)
-        if rows is not None:
-            return rows
-        n = g0.n
-        work = [(g.string_key(), g, identity(n)) for g in g0.gens]
-        work += [(g.string_key(), identity(n), g) for g in g1.gens]
-        done: list[tuple[int, int, PauliLim, PauliLim]] = []
-        for bit in range(2 * n - 1, -1, -1):
-            pivot = None
-            for i, row in enumerate(work):
-                if (row[0] >> bit) & 1:
-                    pivot = work.pop(i)
-                    break
-            if pivot is None:
-                continue
-            kp, a0, a1 = pivot
-            work = [
-                (k ^ kp, mul(p0, a0), mul(p1, a1)) if (k >> bit) & 1 else (k, p0, p1)
-                for (k, p0, p1) in work
-            ]
-            done = [
-                (k ^ kp, piv, mul(p0, a0), mul(p1, a1))
-                if (k >> bit) & 1
-                else (k, piv, p0, p1)
-                for (k, piv, p0, p1) in done
-            ]
-            done.append((kp, bit, a0, a1))
-        rows = tuple(done)
-        self._union_rows_memo[memo_key] = rows
+        if rows is None:
+            reduced, _ = gf2_eliminate([g.string_key() for g in g0.gens + g1.gens])
+            rows = tuple((k, k.bit_length() - 1, sel) for k, sel in reduced)
+            self._union_rows_memo[memo_key] = rows
         return rows
 
     def _find_opposite(self, g0: GeneratorSet, g1: GeneratorSet) -> Optional[PauliLim]:
         key = (g0.content_key(), g1.content_key())
         if key in self._opposite_memo:
             return self._opposite_memo[key]
-        from .pauli import find_opposite
-
         res = find_opposite(g0, g1)
         self._opposite_memo[key] = res
         return res
@@ -336,14 +312,15 @@ class DiagramStore:
     ) -> tuple[PauliLim, PauliLim, PauliLim]:
         """(w0, w1, value): w0 in <g0>, w1 in <g1>, value = a.w0.w1 is the
         lexicographic minimum of the double coset, phase included."""
-        acc0 = identity(a.n)
-        acc1 = identity(a.n)
+        sel = 0
         key = a.string_key()
-        for k, piv, p0, p1 in self._union_rows(g0, g1):
+        for k, piv, s in self._union_rows(g0, g1):
             if (key >> piv) & 1:
                 key ^= k
-                acc0 = mul(acc0, p0)
-                acc1 = mul(acc1, p1)
+                sel ^= s
+        k0 = len(g0.gens)
+        acc0 = group_product(g0.gens, sel & ((1 << k0) - 1), a.n)
+        acc1 = group_product(g1.gens, sel >> k0, a.n)
         cand = mul(mul(a, acc0), acc1)
         opp = self._find_opposite(g0, g1)
         if opp is not None:
@@ -354,15 +331,13 @@ class DiagramStore:
                 return h0, h1, alt
         return acc0, acc1, cand
 
-    def lex_min(self, g0: GeneratorSet, g1: GeneratorSet, a: PauliLim) -> PauliLim:
-        return self.arg_lex_min(g0, g1, a)[2]
-
     def root_label(self, e: Edge) -> PauliLim:
         """Canonical representative of label modulo the target's stabilizers."""
         if is_zero(e.label):
             raise DiagramError("zero edges have no root label")
         v = e.target
-        return self.lex_min(self.get_stabilizer_gen_set(v), self.empty_set(v.index), e.label)
+        g = self.get_stabilizer_gen_set(v)
+        return self.arg_lex_min(g, self.empty_set(v.index), e.label)[2]
 
     def intersect_stabilizer_groups(
         self, g0: GeneratorSet, g1: GeneratorSet
@@ -636,7 +611,8 @@ class DiagramStore:
 
 
 def lim_apply_dense(a: Lim, vec: np.ndarray) -> np.ndarray:
-    """Apply a LIM to a dense vector (oracle route for tests and to_dense)."""
+    """Apply a LIM to a dense vector (to_dense, the annealer's moves, and
+    the oracle route for tests)."""
     if isinstance(a, ZeroLim):
         return np.zeros_like(vec)
     if a.x == 0 and a.z == 0:

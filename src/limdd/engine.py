@@ -115,7 +115,6 @@ class Engine:
         e = Edge(identity(0), self.store.leaf)
         for _ in range(n):
             e = self.store.make_edge(e, Edge(zero(e.target.index), e.target))
-        self.root = e
         self._apply_cache: dict = {}
         self._add_cache = ScalarKeyedTable()
         self._unary_cache: dict = {}
@@ -123,7 +122,7 @@ class Engine:
         self._snp_cache: dict = {}
         self._proj_cache: dict = {}
         self._gate_dd_cache: dict = {}
-        self.stats.peak_nodes = self.store.node_count()
+        self.set_root(e)
 
     # -- core combinators ---------------------------------------------------
 
@@ -584,42 +583,44 @@ class Engine:
         self.stats.gate_count += 1
         e = self.root
         if self.mode == "qmdd":
-            self.root = self.apply_gate(self.gate_to_dd(name, qubits), e)
+            e = self.apply_gate(self.gate_to_dd(name, qubits), e)
         elif name in ("x", "y", "z") and len(qubits) == 1:
-            self.root = self.apply_pauli(e, single(self.n, qubits[0], name))
+            e = self.apply_pauli(e, single(self.n, qubits[0], name))
         elif name == "i" and len(qubits) == 1:
             pass
         elif name == "s" and len(qubits) == 1:
-            self.root = self.apply_phase_S(e, qubits[0])
+            e = self.apply_phase_S(e, qubits[0])
         elif name == "sdg" and len(qubits) == 1:
-            self.root = self.apply_phase_S(e, qubits[0], inverse_gate=True)
+            e = self.apply_phase_S(e, qubits[0], inverse_gate=True)
         elif name == "h" and len(qubits) == 1:
-            self.root = self.apply_hadamard(e, qubits[0])
+            e = self.apply_hadamard(e, qubits[0])
         elif name == "t" and len(qubits) == 1:
             if qubits[0] == self.n:
-                self.root = self.apply_t_top(e)
+                e = self.apply_t_top(e)
             else:
-                self.root = self.apply_gate(self.gate_to_dd("t", qubits), e)
+                e = self.apply_gate(self.gate_to_dd("t", qubits), e)
         elif name == "cx" and len(qubits) == 2:
             c, t = qubits
             if c > t:
-                self.root = self.apply_downward_cpauli(e, "X", c, t)
+                e = self.apply_downward_cpauli(e, "X", c, t)
             else:
-                self.root = self.apply_upward_cnot(e, c, t)
+                e = self.apply_upward_cnot(e, c, t)
         elif name == "cz" and len(qubits) == 2:
             c, t = max(qubits), min(qubits)
-            self.root = self.apply_downward_cpauli(e, "Z", c, t)
+            e = self.apply_downward_cpauli(e, "Z", c, t)
         else:
             raise EngineError(f"unknown gate {name!r} for {len(qubits)} qubits")
-        if self.store.node_count() > self.stats.peak_nodes:
-            self.stats.peak_nodes = self.store.node_count()
-        if self.debug:
-            self.store.audit()
+        self.set_root(e)
 
     def run_mcx(self, controls: Iterable[tuple[int, int]], target: int) -> None:
         """Multi-controlled X on the current root, with gate bookkeeping."""
         self.stats.gate_count += 1
-        self.root = self.apply_mcx(self.root, tuple(controls), target)
+        self.set_root(self.apply_mcx(self.root, tuple(controls), target))
+
+    def set_root(self, e: Edge) -> None:
+        """Make ``e`` the current state.  The one place that tracks the peak
+        store size and, in debug mode, re-audits the store."""
+        self.root = e
         if self.store.node_count() > self.stats.peak_nodes:
             self.stats.peak_nodes = self.store.node_count()
         if self.debug:

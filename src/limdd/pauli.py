@@ -1,4 +1,4 @@
-"""Pauli string algebra on check vectors.
+"""Pauli string algebra on packed check strings.
 
 A labelled Pauli operator (a "LIM") is lambda * P_n (x) ... (x) P_1 with
 P_k in {I, X, Y, Z} and lambda a nonzero complex scalar.  Strings are stored
@@ -12,14 +12,18 @@ The zero operator gets its own type; it annihilates everything it multiplies
 and is never a member of a generator set.
 
 Generator sets hold independent commuting strings with scalars +-1 and are
-the working representation for stabilizer subgroups.  Clifford circuits are
-flat tuples of ("h", q), ("s", q), ("cx", c, t) with 1-based qubits.
+the working representation for stabilizer subgroups.  Every GF(2) step on
+them (row reduction, string kernels, and the double-coset minimum in the
+diagram store) runs through ``gf2_eliminate`` on the ``string_key``
+integers.  It records which inputs make up each row as a selection bitmask,
+and ``group_product`` turns a mask back into an element with its exact sign.
+Clifford circuits for ``conjugate`` are flat tuples of ("h", q), ("s", q),
+("cx", c, t) with 1-based qubits.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -192,7 +196,7 @@ def strip_top(a: PauliLim) -> PauliLim:
 
 
 # ---------------------------------------------------------------------------
-# ordering and check vectors
+# ordering and text form
 
 
 def lex_cmp(a: PauliLim, b: PauliLim) -> int:
@@ -221,38 +225,6 @@ def _phase_angle(c: complex) -> float:
     if t >= 2.0 * math.pi:
         t = 0.0
     return t
-
-
-def to_check_vector(a: PauliLim) -> tuple[tuple[int, ...], tuple[int, ...], float, float]:
-    """((x_n..x_1), (z_n..z_1), r, theta) with r > 0 and theta in [0, 2*pi)."""
-    xs = tuple((a.x >> k) & 1 for k in range(a.n - 1, -1, -1))
-    zs = tuple((a.z >> k) & 1 for k in range(a.n - 1, -1, -1))
-    return xs, zs, abs(a.scalar), _phase_angle(a.scalar)
-
-
-def from_check_vector(
-    xs: Iterable[int], zs: Iterable[int], r: float = 1.0, theta: float = 0.0
-) -> PauliLim:
-    xs = tuple(xs)
-    zs = tuple(zs)
-    if len(xs) != len(zs):
-        raise PauliError("x and z blocks must have equal length")
-    x = z = 0
-    for bit in xs:
-        x = (x << 1) | (bit & 1)
-    for bit in zs:
-        z = (z << 1) | (bit & 1)
-    return PauliLim(len(xs), x, z, r * cmath.exp(1j * theta))
-
-
-def check_vector_str(a: PauliLim) -> str:
-    xs, zs, r, theta = to_check_vector(a)
-    return "%s|%s|%g,%g" % (
-        "".join(map(str, xs)),
-        "".join(map(str, zs)),
-        r,
-        theta,
-    )
 
 
 def _scalar_str(c: complex) -> str:
@@ -322,17 +294,14 @@ def from_text(text: str, n: Optional[int] = None) -> PauliLim:
 # generator sets
 
 
-_uid_counter = itertools.count(1)
-
-
 class GeneratorSet:
     """Independent commuting +-1 Pauli strings generating a stabilizer subgroup.
 
-    Instances are treated as immutable.  ``uid`` supports identity-keyed
-    memo tables; ``content_key`` supports content-keyed ones (it sees
-    generator order, which rref canonicalizes)."""
+    Instances are treated as immutable.  ``content_key`` supports
+    content-keyed memo tables (it sees generator order, which rref
+    canonicalizes)."""
 
-    __slots__ = ("n", "gens", "uid", "_ckey")
+    __slots__ = ("n", "gens", "_ckey")
 
     def __init__(self, n: int, gens: Iterable[PauliLim] = ()):
         self.n = n
@@ -342,7 +311,6 @@ class GeneratorSet:
                 raise PauliError("generator qubit count mismatch")
             snapped.append(_snap_sign(g))
         self.gens = tuple(snapped)
-        self.uid = next(_uid_counter)
         self._ckey = None
 
     def content_key(self) -> tuple:
@@ -371,124 +339,106 @@ def _snap_sign(g: PauliLim) -> PauliLim:
     raise NotAStabilizerGroupError(f"generator scalar {s} is not +-1")
 
 
+def gf2_eliminate(keys: Sequence[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Gauss-Jordan elimination over GF(2) on rows packed into integers.
+
+    Input row i carries the selection bit 1 << i, and every XOR of rows
+    XORs their selection masks too.  Returns ``(rows, kernel)``:
+
+    * ``rows``: the reduced row echelon basis of the input span as
+      ``(key, sel)`` pairs in decreasing-key order.  Each pivot is the
+      leading bit of its key and is clear in every other row; ``sel``
+      picks the inputs whose XOR is ``key``.
+    * ``kernel``: one selection mask per input that depends on the
+      inputs before it; the selected inputs XOR to 0.  Together they are
+      a basis of all such combinations, so ``len(rows) + len(kernel) ==
+      len(keys)``.
+
+    The basis stays reduced after every insertion, so a new row is cleared
+    by one pass over the pivots and its own pivot is its ``bit_length``."""
+    basis: list[list[int]] = []   # [pivot bit, key, sel]
+    kernel: list[int] = []
+    for i, key in enumerate(keys):
+        sel = 1 << i
+        for piv, k, s in basis:
+            if (key >> piv) & 1:
+                key ^= k
+                sel ^= s
+        if not key:
+            kernel.append(sel)
+            continue
+        piv = key.bit_length() - 1
+        for row in basis:
+            if (row[1] >> piv) & 1:
+                row[1] ^= key
+                row[2] ^= sel
+        basis.append([piv, key, sel])
+    basis.sort(reverse=True)
+    return [(k, s) for _, k, s in basis], kernel
+
+
+def group_product(gens: Sequence[PauliLim], mask: int, n: int) -> PauliLim:
+    """Exact product of the generators selected by ``mask`` bits.
+
+    Well defined without an ordering convention because stabilizer
+    generators commute."""
+    if not mask:
+        return identity(n)
+    picked = _bits(mask)
+    res = gens[next(picked)]
+    for b in picked:
+        res = mul(res, gens[b])
+    return res
+
+
 def rref(g: GeneratorSet) -> GeneratorSet:
     """Gauss-Jordan reduce over check strings with exact phase tracking.
 
     Rows come out with strictly decreasing pivot positions and each pivot
-    eliminated from every other row.  An identity-string row with scalar -1
-    means -I is generated: error.  +I rows (dependent input) are dropped."""
-    rows: list[PauliLim] = [_snap_sign(r) for r in g.gens]
-    pivot_rows: list[PauliLim] = []
-    width = 2 * g.n
-    for bit in range(width - 1, -1, -1):
-        pick = None
-        for i, r in enumerate(rows):
-            if (r.string_key() >> bit) & 1:
-                pick = i
-                break
-        if pick is None:
-            continue
-        piv = rows.pop(pick)
-        rows = [
-            _snap_sign(mul(r, piv)) if (r.string_key() >> bit) & 1 else r for r in rows
-        ]
-        pivot_rows = [
-            _snap_sign(mul(r, piv)) if (r.string_key() >> bit) & 1 else r
-            for r in pivot_rows
-        ]
-        pivot_rows.append(piv)
-    for r in rows:  # fully eliminated leftovers
-        if r.scalar.real < 0:
+    eliminated from every other row; each row's sign is the exact product
+    of the generators that make it up.  Dependent input is dropped when it
+    multiplies to +I and is an error when it yields anything else (-I)."""
+    n = g.n
+    rows, kernel = gf2_eliminate([r.string_key() for r in g.gens])
+    for sel in kernel:
+        if abs(group_product(g.gens, sel, n).scalar - 1.0) > EPS_EQ:
             raise NotAStabilizerGroupError("generators produce -I")
-    pivot_rows.sort(key=lambda r: -r.string_key())
-    return GeneratorSet(g.n, pivot_rows)
+    return GeneratorSet(n, [group_product(g.gens, sel, n) for _, sel in rows])
 
 
-def division_remainder(g: GeneratorSet, a: PauliLim) -> tuple[PauliLim, PauliLim]:
-    """(remainder, h): h in <g> with exact phase and mul(a, h) == remainder,
-    where the remainder string is lexicographically minimal over the coset."""
-    red = a
-    h = identity(g.n)
-    for row in rref(g).gens:
-        piv = row.string_key().bit_length() - 1
-        if (red.string_key() >> piv) & 1:
-            red = mul(red, row)
-            h = mul(h, row)
-    return red, h
+def string_kernel(g0: GeneratorSet, g1: GeneratorSet) -> list[tuple[int, int]]:
+    """Basis of {(a, b) : prod g0^a and prod g1^b have the same string}.
+
+    The kernel of the elimination on the stacked check strings, with each
+    selection mask split at the g0/g1 boundary.  Phases are ignored here."""
+    k0 = len(g0.gens)
+    low = (1 << k0) - 1
+    _, kernel = gf2_eliminate([g.string_key() for g in g0.gens + g1.gens])
+    return [(sel & low, sel >> k0) for sel in kernel]
 
 
-def membership(g: GeneratorSet, a: PauliLim) -> bool:
-    """True iff ``a`` is exactly an element of <g> (phase included)."""
-    rem, _ = division_remainder(g, a)
-    return rem.is_identity_string() and abs(rem.scalar - 1.0) <= EPS_EQ
+def find_opposite(g0: GeneratorSet, g1: GeneratorSet) -> Optional[PauliLim]:
+    """Some h with h in <g0> and -h in <g1>, or None.
 
-
-def membership_mod_phase(g: GeneratorSet, a: PauliLim) -> bool:
-    """True iff the string of ``a`` lies in the string span of <g>."""
-    rem, _ = division_remainder(g, a)
-    return rem.is_identity_string()
-
-
-# ---------------------------------------------------------------------------
-# diagonal-group intersection
-
-
-def _gf2_echelon(rows: list[int], width: int) -> list[int]:
-    out: list[int] = []
-    for bit in range(width - 1, -1, -1):
-        pick = None
-        for i, r in enumerate(rows):
-            if (r >> bit) & 1:
-                pick = i
-                break
-        if pick is None:
-            continue
-        piv = rows.pop(pick)
-        rows = [r ^ piv if (r >> bit) & 1 else r for r in rows]
-        out = [r ^ piv if (r >> bit) & 1 else r for r in out]
-        out.append(piv)
-    return out + [r for r in rows if r]
-
-
-def zassenhaus_intersect(a: GeneratorSet, b: GeneratorSet) -> GeneratorSet:
-    """Intersection of two diagonal (Z-only strings, +-1 signs) subgroups.
-
-    Such a group is a GF(2) vector space on (z bits, sign bit); the block
-    construction [[u, u], [w, 0]] reduced over the left block leaves right
-    halves of left-zero rows as an intersection basis."""
-    n = a.n
-    for g in itertools.chain(a.gens, b.gens):
-        if g.x != 0:
-            raise PauliError("zassenhaus_intersect requires diagonal strings")
-    w = n + 1  # z bits plus sign bit
-
-    def vec(g: PauliLim) -> int:
-        return (g.z << 1) | (1 if g.scalar.real < 0 else 0)
-
-    rows = [(vec(g) << w) | vec(g) for g in rref(a).gens]
-    rows += [vec(g) << w for g in rref(b).gens]
-    basis = []
-    for r in _gf2_echelon(rows, 2 * w):
-        if r >> w == 0 and r != 0:
-            basis.append(r)
-    gens = []
-    for v in basis:
-        zbits = v >> 1
-        sign = -1.0 if v & 1 else 1.0
-        if zbits == 0:
-            if sign < 0:
-                raise NotAStabilizerGroupError("-I in diagonal intersection")
-            continue
-        gens.append(PauliLim(n, 0, zbits, sign))
-    return rref(GeneratorSet(n, gens))
+    Such an h shares its string with an element of <g1>, so every candidate
+    lives in the string kernel of the stacked generator sets.  Sign
+    quotients are multiplicative over the kernel (commuting +-1 generators
+    square to +I exactly), so scanning one kernel basis decides existence:
+    any basis pair whose exact products disagree in sign is a witness."""
+    n = g0.n
+    for m0, m1 in string_kernel(g0, g1):
+        h = group_product(g0.gens, m0, n)
+        other = group_product(g1.gens, m1, n)
+        if h.scalar.real * other.scalar.real < 0:
+            return h
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Clifford circuits, conjugation, diagonalization
+# Clifford conjugation
 
 
 CliffordGate = tuple
-CliffordCircuit = tuple
 
 
 def _conj_gate(a: PauliLim, gate: CliffordGate) -> PauliLim:
@@ -531,147 +481,3 @@ def conjugate(a: PauliLim, circuit: Iterable[CliffordGate]) -> PauliLim:
     for gate in circuit:
         a = _conj_gate(a, gate)
     return a
-
-
-def inverse_circuit(circuit: Iterable[CliffordGate]) -> CliffordCircuit:
-    out = []
-    for gate in reversed(tuple(circuit)):
-        if gate[0] == "s":
-            out.extend([gate, gate, gate])  # S^-1 = S^3
-        else:
-            out.append(gate)
-    return tuple(out)
-
-
-class CliffordTableau:
-    """Images of X_k and Z_k under conjugation by a fixed Clifford circuit.
-
-    ``apply`` conjugates an arbitrary LIM in O(n) string products instead of
-    replaying the whole circuit."""
-
-    __slots__ = ("n", "ximg", "zimg")
-
-    def __init__(self, n: int, ximg: list[PauliLim], zimg: list[PauliLim]):
-        self.n = n
-        self.ximg = ximg
-        self.zimg = zimg
-
-    @classmethod
-    def from_circuit(cls, n: int, circuit: Iterable[CliffordGate]) -> "CliffordTableau":
-        ximg = [single(n, k + 1, "X") for k in range(n)]
-        zimg = [single(n, k + 1, "Z") for k in range(n)]
-        for gate in circuit:
-            ximg = [_conj_gate(p, gate) for p in ximg]
-            zimg = [_conj_gate(p, gate) for p in zimg]
-        return cls(n, ximg, zimg)
-
-    def apply(self, a: PauliLim) -> PauliLim:
-        res = PauliLim(
-            self.n, 0, 0, a.scalar * _PHASES[(a.x & a.z).bit_count() % 4]
-        )
-        for b in _bits(a.x):
-            res = mul(res, self.ximg[b])
-        for b in _bits(a.z):
-            res = mul(res, self.zimg[b])
-        return res
-
-
-def clifford_to_z_form(g: GeneratorSet) -> tuple[CliffordCircuit, GeneratorSet]:
-    """A circuit U of H/S/CX gates with U <g> U^dagger = {Z_1, ..., Z_k}.
-
-    Sweeps generator i onto +Z_(i+1): S turns Y factors into X, H turns X
-    into Z, CXs collapse the Z support onto one qubit, two CXs move it to
-    the pivot, and an inlined X (= H S S H) fixes a -1 sign.  Earlier pivots
-    are never disturbed because generator i commutes with Z_1..Z_i."""
-    work = list(rref(g).gens)
-    if len(work) != len(g.gens):
-        raise NotAStabilizerGroupError("dependent generator set")
-    n = g.n
-    circuit: list[CliffordGate] = []
-
-    def emit(gate: CliffordGate) -> None:
-        circuit.append(gate)
-        for j in range(len(work)):
-            work[j] = _conj_gate(work[j], gate)
-
-    for i in range(len(work)):
-        # clear X components: Y -> -X via S, then X -> Z via H
-        for b in list(_bits(work[i].x & work[i].z)):
-            emit(("s", b + 1))
-        for b in list(_bits(work[i].x)):
-            emit(("h", b + 1))
-        if work[i].x != 0:
-            raise NotAStabilizerGroupError("failed to diagonalize generator")
-        support = list(_bits(work[i].z))
-        high = [b for b in support if b >= i]
-        if not high:
-            raise NotAStabilizerGroupError("dependent or non-commuting generators")
-        q = i if i in support else high[0]
-        for b in support:
-            if b != q:
-                emit(("cx", b + 1, q + 1))
-        if q != i:
-            emit(("cx", i + 1, q + 1))
-            emit(("cx", q + 1, i + 1))
-        if work[i].scalar.real < 0:
-            for gate in (("h", i + 1), ("s", i + 1), ("s", i + 1), ("h", i + 1)):
-                emit(gate)
-    for i, row in enumerate(work):
-        if not (row.x == 0 and row.z == 1 << i and abs(row.scalar - 1.0) <= EPS_EQ):
-            raise NotAStabilizerGroupError("input is not a stabilizer generator set")
-    zgens = GeneratorSet(n, [single(n, i + 1, "Z") for i in range(len(work))])
-    return tuple(circuit), zgens
-
-
-def group_product(gens: Sequence[PauliLim], mask: int, n: int) -> PauliLim:
-    """Exact product of the generators selected by ``mask`` bits.
-
-    Well defined without an ordering convention because stabilizer
-    generators commute."""
-    res = identity(n)
-    for b in _bits(mask):
-        res = mul(res, gens[b])
-    return res
-
-
-def string_kernel(g0: GeneratorSet, g1: GeneratorSet) -> list[tuple[int, int]]:
-    """Basis of {(a, b) : prod g0^a and prod g1^b have the same string}.
-
-    Plain GF(2) elimination on the stacked check strings, with selection
-    bits carried along; rows whose string part cancels record a kernel
-    member in their selection part.  Phases are ignored here."""
-    k0 = len(g0.gens)
-    w = k0 + len(g1.gens)
-    sel_mask = (1 << w) - 1
-    basis: dict[int, int] = {}
-    out: list[tuple[int, int]] = []
-    for i, g in enumerate(g0.gens + g1.gens):
-        cur = (g.string_key() << w) | (1 << i)
-        while cur >> w:
-            lead = cur.bit_length() - 1
-            hit = basis.get(lead)
-            if hit is None:
-                basis[lead] = cur
-                cur = 0
-                break
-            cur ^= hit
-        if cur:
-            out.append((cur & ((1 << k0) - 1), (cur & sel_mask) >> k0))
-    return out
-
-
-def find_opposite(g0: GeneratorSet, g1: GeneratorSet) -> Optional[PauliLim]:
-    """Some h with h in <g0> and -h in <g1>, or None.
-
-    Such an h shares its string with an element of <g1>, so every candidate
-    lives in the string kernel of the stacked generator sets.  Sign
-    quotients are multiplicative over the kernel (commuting +-1 generators
-    square to +I exactly), so scanning one kernel basis decides existence:
-    any basis pair whose exact products disagree in sign is a witness."""
-    n = g0.n
-    for m0, m1 in string_kernel(g0, g1):
-        h = group_product(g0.gens, m0, n)
-        other = group_product(g1.gens, m1, n)
-        if h.scalar.real * other.scalar.real < 0:
-            return h
-    return None

@@ -18,6 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .circuit import Circuit, dense_simulate
+from .diagram import lim_apply_dense
+from .pauli import PauliLim
 from .states import dicke_dense
 
 _RANK_TOL = 1e-10
@@ -73,19 +75,6 @@ def random_stabilizer_state(n: int, rng) -> np.ndarray:
     return dense_simulate(Circuit(n, tuple(ops)))
 
 
-def apply_pauli_dense(n: int, x: int, z: int, sign: int, vec: np.ndarray) -> np.ndarray:
-    """sign * P_(x,z) |vec> with the Hermitian string convention (Y = iXZ)."""
-    idx = np.arange(vec.size)
-    src = idx ^ x
-    par = src & z
-    par ^= par >> 8
-    par ^= par >> 4
-    par ^= par >> 2
-    par ^= par >> 1
-    phase = sign * (1j) ** ((x & z).bit_count() % 4)
-    return phase * (1.0 - 2.0 * (par & 1)) * vec[src]
-
-
 def fidelity(vectors: np.ndarray, target: np.ndarray) -> float:
     """<D|Pi|D> for the projector Pi onto the span of the columns."""
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
@@ -105,7 +94,8 @@ def anneal_step(vectors: np.ndarray, target: np.ndarray, beta: float, rng,
         x = int(rng.integers(0, 1 << n))
         z = int(rng.integers(0, 1 << n))
         sign = 1 if rng.random() < 0.5 else -1
-        moved = vectors[:, j] + apply_pauli_dense(n, x, z, sign, vectors[:, j])
+        move = PauliLim(n, x, z, sign)
+        moved = vectors[:, j] + lim_apply_dense(move, vectors[:, j])
         norm = np.linalg.norm(moved)
         if norm > 1e-12:
             break

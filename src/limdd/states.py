@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagram import Edge, scale_edge
 from .engine import Engine
-from .pauli import PauliLim, identity, mul, scale, zero
+from .pauli import PauliLim, gf2_eliminate, identity, mul, scale, zero
 
 
 class StateError(Exception):
@@ -84,8 +84,7 @@ def graph_state(g: Graph, mode: str = "limdd") -> Engine:
                 zmask |= 1 << (g.n - other - 1)
         lim = PauliLim(level - 1, 0, zmask, 1.0)
         er = store.make_edge(er, Edge(mul(lim, er.label), er.target))
-    eng.root = scale_edge(2 ** (-g.n / 2), er)
-    _note_peak(eng)
+    eng.set_root(scale_edge(2 ** (-g.n / 2), er))
     return eng
 
 
@@ -108,19 +107,11 @@ def coset_state(c: Coset) -> Engine:
     """Uniform superposition over span(basis) + offset as an X-labelled tower."""
     eng = Engine(c.n)
     store = eng.store
-    pivots: dict[int, int] = {}
-    for s in c.basis:
-        row = int(s, 2)
-        for b in sorted(pivots, reverse=True):
-            if (row >> b) & 1:
-                row ^= pivots[b]
-        if row == 0:
-            raise StateError(f"basis string {s!r} is dependent on the others")
-        pivots[row.bit_length() - 1] = row
-    for b, row in list(pivots.items()):
-        for b2 in pivots:
-            if b2 != b and (pivots[b2] >> b) & 1:
-                pivots[b2] ^= row
+    rows, kernel = gf2_eliminate([int(s, 2) for s in c.basis])
+    if kernel:
+        s = c.basis[kernel[0].bit_length() - 1]
+        raise StateError(f"basis string {s!r} is dependent on the others")
+    pivots = {row.bit_length() - 1: row for row, _ in rows}
     er = Edge(identity(0), store.leaf)
     for level in range(1, c.n + 1):
         row = pivots.get(level - 1)
@@ -131,8 +122,7 @@ def coset_state(c: Coset) -> Engine:
             hi = Edge(mul(PauliLim(level - 1, low_bits, 0, 1.0), er.label), er.target)
         er = store.make_edge(er, hi)
     lift = mul(PauliLim(c.n, int(c.offset, 2), 0, 1.0), er.label)
-    eng.root = Edge(scale(2 ** (-len(pivots) / 2), lift), er.target)
-    _note_peak(eng)
+    eng.set_root(Edge(scale(2 ** (-len(pivots) / 2), lift), er.target))
     return eng
 
 
@@ -209,8 +199,3 @@ def dicke_dense(n: int, w: int) -> np.ndarray:
         if idx.bit_count() == w:
             vec[idx] = amp
     return vec
-
-
-def _note_peak(eng: Engine) -> None:
-    if eng.store.node_count() > eng.stats.peak_nodes:
-        eng.stats.peak_nodes = eng.store.node_count()

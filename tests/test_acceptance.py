@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import limdd.pauli as pl
-from limdd.diagram import Edge
+from limdd.diagram import DiagramStore, Edge
 from limdd.engine import Engine
 from limdd.pauli import GeneratorSet, PauliLim, is_zero, mul
 from limdd.states import (
@@ -429,7 +429,9 @@ def _echelon_ok(g: GeneratorSet) -> bool:
 
 
 def test_pauli_toolkit_vs_enumeration():
+    # membership and division are arg_lex_min against the empty group
     rng = np.random.default_rng(67)
+    store = DiagramStore()
     cases = 0
     for _ in range(200):  # row reduction preserves the group, canonical shape
         n = int(rng.integers(1, 4))
@@ -453,13 +455,14 @@ def test_pauli_toolkit_vs_enumeration():
                 -1.0 if rng.integers(0, 2) else 1.0,
             )
         truth = (a.x, a.z, 1 if a.scalar.real > 0 else -1) in keys
-        assert pl.membership(g, a) == truth
+        _, _, rem = store.arg_lex_min(g, store.empty_set(n), a)
+        assert (rem.is_identity_string() and abs(rem.scalar - 1.0) <= 1e-12) == truth
         cases += 1
     for _ in range(100):  # diagonal-group intersection equals set intersection
         n = int(rng.integers(1, 4))
         a = _random_diagonal_genset(n, rng)
         b = _random_diagonal_genset(n, rng)
-        inter = pl.zassenhaus_intersect(a, b)
+        inter = store.intersect_stabilizer_groups(a, b)
         assert group_keys(inter) == group_keys(a) & group_keys(b)
         cases += 1
     for _ in range(100):  # division: quotient in the group, remainder minimal
@@ -471,7 +474,7 @@ def test_pauli_toolkit_vs_enumeration():
             int(rng.integers(0, 1 << n)),
             -1.0 if rng.integers(0, 2) else 1.0,
         )
-        rem, h = pl.division_remainder(g, a)
+        h, _, rem = store.arg_lex_min(g, store.empty_set(n), a)
         keys = group_keys(g)
         assert (h.x, h.z, 1 if h.scalar.real > 0 else -1) in keys
         prod = mul(a, h)
@@ -485,5 +488,6 @@ def test_pauli_toolkit_vs_enumeration():
         9,
         "pauli toolkit",
         cases >= 500,
-        f"{cases} enumeration-checked cases (rref/membership/intersection/division), n<=3",
+        f"{cases} enumeration-checked cases (rref, arg_lex_min membership/division, "
+        "diagonal intersect_stabilizer_groups), n<=3",
     )

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import limdd.pauli as pl
+from limdd.diagram import DiagramStore
 from oracles import (
     clifford_circuit_matrix,
     cx_matrix,
@@ -108,28 +109,6 @@ def test_pauli_conjugate_matches_dense():
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
-def test_check_vector_examples():
-    # X ~ (1 | 0); Z (x) Y ~ (0,1 | 1,1)
-    assert pl.to_check_vector(pl.from_text("X"))[:2] == ((1,), (0,))
-    assert pl.to_check_vector(pl.from_text("ZY"))[:2] == ((0, 1), (1, 1))
-    xs, zs, r, t = pl.to_check_vector(pl.PauliLim(3, 0b111, 0, 3.0))
-    assert (xs, zs) == ((1, 1, 1), (0, 0, 0)) and r == 3.0 and t == 0.0
-    xs, zs, r, t = pl.to_check_vector(pl.from_text("-0.5i*IZY"))
-    assert (xs, zs) == ((0, 0, 1), (0, 1, 1))
-    assert abs(r - 0.5) < 1e-12 and abs(t - 3 * math.pi / 2) < 1e-12
-    assert pl.check_vector_str(pl.PauliLim(3, 0b111, 0, 3.0)) == "111|000|3,0"
-
-
-def test_check_vector_roundtrip():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        a = random_lim(rng, int(rng.integers(1, 5)))
-        xs, zs, r, t = pl.to_check_vector(a)
-        b = pl.from_check_vector(xs, zs, r, t)
-        assert (b.x, b.z) == (a.x, a.z)
-        assert abs(b.scalar - a.scalar) <= 1e-9 * max(1.0, abs(a.scalar))
-
-
 def test_lex_order_examples():
     assert pl.lex_cmp(pl.from_text("X"), pl.from_text("Y")) < 0
     assert pl.lex_cmp(pl.from_text("ZI"), pl.from_text("ZX")) < 0
@@ -143,8 +122,8 @@ def test_lex_order_total():
     lims = [random_lim(rng, 3) for _ in range(40)]
 
     def key(a):
-        xs, zs, r, t = pl.to_check_vector(a)
-        return (xs, zs, round(r, 6), round(t, 6))
+        theta = math.atan2(a.scalar.imag, a.scalar.real) % (2 * math.pi)
+        return (a.x, a.z, round(abs(a.scalar), 6), round(theta, 6))
 
     for a in lims:
         for b in lims:
@@ -206,12 +185,14 @@ def test_rref_detects_minus_identity():
 
 
 def test_division_remainder_minimal():
+    # dividing by <g> is arg_lex_min against the empty right-hand group
     rng = np.random.default_rng(29)
+    store = DiagramStore()
     for _ in range(40):
         n = int(rng.integers(1, 4))
         g = random_stabilizer_genset(n, rng)
         a = random_lim(rng, n)
-        rem, h = pl.division_remainder(g, a)
+        h, _, rem = store.arg_lex_min(g, store.empty_set(n), a)
         got = pl.mul(a, h)
         assert (got.x, got.z) == (rem.x, rem.z)
         assert abs(got.scalar - rem.scalar) <= 1e-12 * max(1.0, abs(rem.scalar))
@@ -220,51 +201,61 @@ def test_division_remainder_minimal():
 
 
 def test_membership_vs_enumeration():
+    # a in <g> iff the coset a<g> has +I as its minimum; a's string is in
+    # the span iff the minimum has the identity string
     rng = np.random.default_rng(31)
+    store = DiagramStore()
     for _ in range(60):
         n = int(rng.integers(1, 4))
         g = random_stabilizer_genset(n, rng)
         keys = group_keys(g)
         a = random_lim(rng, n, "sign")
+        _, _, rem = store.arg_lex_min(g, store.empty_set(n), a)
         in_group = (a.x, a.z, 1 if a.scalar.real > 0 else -1) in keys
-        assert pl.membership(g, a) == in_group
+        assert (rem.is_identity_string() and rem.scalar == 1) == in_group
         in_span = any((a.x, a.z) == (x, z) for (x, z, _) in keys)
-        assert pl.membership_mod_phase(g, a) == in_span
+        assert rem.is_identity_string() == in_span
 
 
-def test_zassenhaus_vs_enumeration():
-    rng = np.random.default_rng(37)
-    for _ in range(60):
-        n = int(rng.integers(1, 5))
+def test_gf2_eliminate_vs_brute_force():
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        width = 2 * int(rng.integers(1, 5))  # check strings of n <= 4 qubits
+        count = int(rng.integers(0, 7))
+        keys = [int(rng.integers(0, 1 << width)) for _ in range(count)]
+        rows, kernel = pl.gf2_eliminate(keys)
 
-        def diag_set():
-            gens = []
-            keys = []
-            for _ in range(int(rng.integers(0, n + 1))):
-                z = int(rng.integers(1, 1 << n))
-                from oracles import gf2_rank
+        def xor_of(sel):
+            out = 0
+            for i, k in enumerate(keys):
+                if (sel >> i) & 1:
+                    out ^= k
+            return out
 
-                zk = (z << 1) | 0
-                if gf2_rank(keys + [z]) != len(keys) + 1:
-                    continue
-                keys.append(z)
-                gens.append(pl.PauliLim(n, 0, z, -1.0 if rng.integers(0, 2) else 1.0))
-            return pl.GeneratorSet(n, gens)
+        def span(vecs):
+            out = {0}
+            for v in vecs:
+                out |= {u ^ v for u in out}
+            return out
 
-        a, b = diag_set(), diag_set()
-        inter = pl.zassenhaus_intersect(a, b)
-        assert group_keys(inter) == group_keys(a) & group_keys(b)
-
-
-def test_zassenhaus_rejects_offdiagonal():
-    with pytest.raises(pl.PauliError):
-        pl.zassenhaus_intersect(
-            pl.GeneratorSet(2, [pl.from_text("XI")]), pl.GeneratorSet(2, [])
-        )
+        row_keys = [k for k, _ in rows]
+        assert span(row_keys) == span(keys)
+        pivots = [k.bit_length() - 1 for k in row_keys]
+        assert all(k > 0 for k in row_keys)
+        assert all(p > q for p, q in zip(pivots, pivots[1:]))
+        for i, k in enumerate(row_keys):
+            for j, p in enumerate(pivots):
+                if i != j:
+                    assert not (k >> p) & 1
+        for k, sel in rows:
+            assert xor_of(sel) == k
+        assert all(sel and xor_of(sel) == 0 for sel in kernel)
+        assert len(span(kernel)) == 1 << len(kernel)  # independent masks
+        assert len(rows) + len(kernel) == len(keys)
 
 
 # ---------------------------------------------------------------------------
-# conjugation and diagonalization
+# conjugation
 
 
 def test_conjugate_single_gates_vs_dense():
@@ -316,77 +307,10 @@ def test_cx_convention_pinned():
     assert pl.format_lim(b) == "ZZ"
 
 
-def test_tableau_matches_conjugate():
-    rng = np.random.default_rng(47)
-    for _ in range(40):
-        n = int(rng.integers(1, 6))
-        circ = []
-        for _ in range(int(rng.integers(0, 15))):
-            kind = ("h", "s", "cx")[int(rng.integers(0, 3))]
-            if kind == "cx" and n >= 2:
-                c, t = rng.choice(n, size=2, replace=False) + 1
-                circ.append(("cx", int(c), int(t)))
-            else:
-                circ.append(("h" if kind == "cx" else kind, int(rng.integers(1, n + 1))))
-        tab = pl.CliffordTableau.from_circuit(n, circ)
-        for _ in range(5):
-            a = random_lim(rng, n)
-            got = tab.apply(a)
-            want = pl.conjugate(a, circ)
-            assert (got.x, got.z) == (want.x, want.z)
-            assert abs(got.scalar - want.scalar) <= 1e-12 * max(1.0, abs(want.scalar))
-
-
-def test_inverse_circuit():
-    rng = np.random.default_rng(53)
-    n = 4
-    circ = [("h", 1), ("s", 2), ("cx", 3, 1), ("s", 4), ("cx", 2, 4), ("h", 3)]
-    inv = pl.inverse_circuit(circ)
-    for _ in range(20):
-        a = random_lim(rng, n)
-        back = pl.conjugate(pl.conjugate(a, circ), inv)
-        assert (back.x, back.z) == (a.x, a.z)
-        assert abs(back.scalar - a.scalar) <= 1e-12 * max(1.0, abs(a.scalar))
-
-
-def test_clifford_to_z_form():
-    rng = np.random.default_rng(59)
-    for _ in range(60):
-        n = int(rng.integers(1, 7))
-        g = pl.rref(random_stabilizer_genset(n, rng))
-        circuit, zgens = pl.clifford_to_z_form(g)
-        assert all(gate[0] in ("h", "s", "cx") for gate in circuit)
-        imgs = sorted(
-            (pl.conjugate(gen, circuit) for gen in g.gens), key=lambda p: p.z
-        )
-        assert len(imgs) == len(g.gens)
-        for i, img in enumerate(imgs):
-            assert img.x == 0 and img.z == 1 << i and img.scalar == 1.0
-        assert [gen.z for gen in zgens.gens] == [1 << i for i in range(len(g.gens))]
-
-
-def test_clifford_to_z_form_dense_check():
-    rng = np.random.default_rng(61)
-    for _ in range(15):
-        n = int(rng.integers(1, 4))
-        g = pl.rref(random_stabilizer_genset(n, rng, k=int(rng.integers(1, n + 1))))
-        circuit, _ = pl.clifford_to_z_form(g)
-        u = clifford_circuit_matrix(n, circuit)
-        got = {
-            (np.round(u @ lim_to_matrix(gen) @ u.conj().T, 6) + 0.0).tobytes()
-            for gen in g.gens
-        }
-        want = {
-            (np.round(lim_to_matrix(pl.single(n, i + 1, "Z")), 6) + 0.0).tobytes()
-            for i in range(len(g.gens))
-        }
-        assert got == want
-
-
-def test_clifford_to_z_form_rejects_bad_input():
-    g = pl.GeneratorSet(2, [pl.from_text("XI"), pl.from_text("ZI")])  # anticommute
-    with pytest.raises(pl.NotAStabilizerGroupError):
-        pl.clifford_to_z_form(g)
+def signed_key(p):
+    """The ``group_keys`` entry of a +-1 string; any other scalar fails."""
+    assert p.scalar in (1, -1)
+    return (p.x, p.z, int(p.scalar.real))
 
 
 def test_find_opposite_vs_enumeration():
@@ -405,8 +329,8 @@ def test_find_opposite_vs_enumeration():
             assert not exists
         else:
             found_seen += 1
-            assert pl.membership(g0, got)
-            assert pl.membership(g1, pl.neg(got))
+            assert signed_key(got) in k0
+            assert signed_key(pl.neg(got)) in k1
     assert none_seen > 0 and found_seen > 0
 
 
@@ -416,6 +340,7 @@ def test_find_opposite_known_case():
     g1 = pl.GeneratorSet(2, [pl.from_text("-YY")])
     h = pl.find_opposite(g0, g1)
     assert h is not None
-    assert pl.membership(g0, h) and pl.membership(g1, pl.neg(h))
+    assert signed_key(h) in group_keys(g0)
+    assert signed_key(pl.neg(h)) in group_keys(g1)
     # empty second set can never contain -h
     assert pl.find_opposite(g0, pl.GeneratorSet(2, [])) is None

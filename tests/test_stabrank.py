@@ -11,13 +11,14 @@ from limdd.stabrank import (
     AnnealConfig,
     StabRankError,
     anneal_step,
-    apply_pauli_dense,
     certify,
     fidelity,
     random_stabilizer_state,
     search_rank,
     search_with_restarts,
 )
+from limdd.diagram import lim_apply_dense
+from limdd.pauli import PauliLim
 from limdd.states import dicke_dense
 from oracles import brute_stabilizer_elements
 
@@ -78,10 +79,10 @@ def test_random_stabilizer_states_are_stabilizer():
 def test_apply_pauli_dense_hermitian_convention():
     # Y = iXZ on one qubit
     vec = np.array([2.0, 3.0], dtype=complex)
-    got = apply_pauli_dense(1, 1, 1, 1, vec)
+    got = lim_apply_dense(PauliLim(1, 1, 1, 1), vec)
     assert np.allclose(got, np.array([-3j, 2j]), atol=1e-12)
     # sign flips the whole operator
-    assert np.allclose(apply_pauli_dense(1, 1, 1, -1, vec), -got, atol=1e-12)
+    assert np.allclose(lim_apply_dense(PauliLim(1, 1, 1, -1), vec), -got, atol=1e-12)
 
 
 def test_anneal_moves_stay_stabilizer():
@@ -93,7 +94,7 @@ def test_anneal_moves_stay_stabilizer():
                 x = int(rng.integers(0, 1 << n))
                 z = int(rng.integers(0, 1 << n))
                 sign = 1 if rng.random() < 0.5 else -1
-                moved = psi + apply_pauli_dense(n, x, z, sign, psi)
+                moved = psi + lim_apply_dense(PauliLim(n, x, z, sign), psi)
                 norm = np.linalg.norm(moved)
                 if norm > 1e-12:
                     break
