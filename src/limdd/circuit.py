@@ -1,7 +1,7 @@
 """Circuit text format, dense statevector oracle, and the run driver.
 
 Grammar: one instruction per line, `#` starts a comment.  The first
-instruction must be ``qubits N``; gates are ``h|s|sdg|t|x|y|z q``,
+instruction must be ``qubits N``; gates are ``h|s|sdg|t|tdg|x|y|z q``,
 ``cx c t`` and ``cz a b``; ``measure q`` and ``measure_all`` must come after
 all gates.  Qubits are 0-based with qubit 0 the top of the diagram, and bit
 strings everywhere read left to right from qubit 0.
@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import Engine
+from .engine import MAT_1Q, Engine
 
 DENSE_LIMIT = 14
 GATE_ARITY = {
@@ -27,21 +27,12 @@ GATE_ARITY = {
     "s": 1,
     "sdg": 1,
     "t": 1,
+    "tdg": 1,
     "x": 1,
     "y": 1,
     "z": 1,
     "cx": 2,
     "cz": 2,
-}
-_SQRT1_2 = 2.0 ** -0.5
-_DENSE_1Q = {
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT1_2,
-    "s": np.diag([1.0, 1j]),
-    "sdg": np.diag([1.0, -1j]),
-    "t": np.diag([1.0, np.exp(1j * np.pi / 4)]),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.diag([1.0, -1.0]).astype(complex),
 }
 
 
@@ -147,7 +138,8 @@ def measured_qubits(c: Circuit) -> list:
 # -- dense oracle -----------------------------------------------------------
 
 def dense_simulate(c: Circuit) -> np.ndarray:
-    """Statevector after all gates; an independent reference for the engines."""
+    """Statevector after all gates; a reference for the engines that shares
+    only the 1-qubit matrix table with them."""
     if c.n > DENSE_LIMIT:
         raise CircuitError(f"dense simulation limited to {DENSE_LIMIT} qubits")
     vec = np.zeros(1 << c.n, dtype=complex)
@@ -158,9 +150,9 @@ def dense_simulate(c: Circuit) -> np.ndarray:
 
 
 def _dense_gate(vec: np.ndarray, name: str, qs: tuple, n: int) -> np.ndarray:
-    if name in _DENSE_1Q:
+    if name in MAT_1Q:
         t = np.moveaxis(vec.reshape((2,) * n), qs[0], 0)
-        t = (_DENSE_1Q[name] @ t.reshape(2, -1)).reshape(t.shape)
+        t = (MAT_1Q[name] @ t.reshape(2, -1)).reshape(t.shape)
         return np.moveaxis(t, 0, qs[0]).reshape(-1)
     idx = np.arange(vec.size)
     if name == "mcx":

@@ -424,9 +424,8 @@ class DiagramStore:
         a1 = v.high.label
         v1 = v.high.target
         g1v = self.get_stabilizer_gen_set(v1)
-        g1 = rref(
-            GeneratorSet(m - 1, [pauli_conjugate(a1, g) for g in g1v.gens])
-        )
+        # conjugation only flips signs, so the reduced set stays reduced
+        g1 = GeneratorSet(m - 1, [pauli_conjugate(a1, g) for g in g1v.gens])
         ident = identity(m - 1)
         # diagonal stabilizers: I (x) (G0 meet G1) and Z (x) (iso of e1 and -e1)
         res = self.intersect_isomorphism_sets(ident, g0, ident, g1)

@@ -3,16 +3,19 @@
 The engine owns one DiagramStore plus the dynamic-programming caches for
 ApplyGate and Add, keyed on canonicalized operands so that edges equal up to
 stabilizer factors (and, for ApplyGate, up to complex phase) share results.
-Gates have three routes:
+In "limdd" mode every gate takes a structural route:
 
-  * direct structural updates for Pauli, phase, Hadamard and controlled
-    Pauli gates (label conjugation pushes the gate to its level),
-  * a top-qubit T shortcut,
-  * generic matrix application through a 2n-level gate diagram.
+  * Pauli gates multiply the root label,
+  * Hadamard, downward controlled Pauli and upward CX gates are pushed to
+    their level by conjugating edge labels with the gate's circuit,
+  * diagonal phase gates (S, S†, T, T†) are pushed to their level by
+    commuting them past edge labels, which flips the gate to its conjugate
+    under an X or Y factor on its qubit,
+  * multi-controlled X is built from projections and Adds.
 
 A "qmdd" engine forces the identity label group and routes every gate
-through the generic path, since the structural updates write Pauli factors
-onto labels.
+through generic matrix application of a 2n-level gate diagram, since the
+structural updates write Pauli factors onto labels.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .pauli import (
     inverse,
     is_zero,
     mul,
+    scale,
     single,
     zero,
 )
@@ -40,15 +44,22 @@ from .pauli import (
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _T_PHASE = cmath.exp(1j * math.pi / 4)
 
-_MAT_1Q = {
+# diag(1, w) gates: name -> (w, name of the conjugate gate diag(1, w*))
+_PHASE_GATES = {
+    "s": (1j, "sdg"),
+    "sdg": (-1j, "s"),
+    "t": (_T_PHASE, "tdg"),
+    "tdg": (_T_PHASE.conjugate(), "t"),
+}
+
+# the one table of 1-qubit gate matrices (gate diagrams and the dense oracle)
+MAT_1Q = {
     "i": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.diag([1.0, -1.0]).astype(complex),
     "h": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT1_2,
-    "s": np.diag([1.0, 1j]),
-    "sdg": np.diag([1.0, -1j]),
-    "t": np.diag([1.0, _T_PHASE]),
+    **{name: np.diag([1.0, w]) for name, (w, _) in _PHASE_GATES.items()},
 }
 
 
@@ -85,6 +96,21 @@ class EngineStats:
 
 def _phase_quarter(s: complex) -> int:
     return int(round(cmath.phase(s) / (math.pi / 2))) % 4
+
+
+def _phase_step(lbl: PauliLim, op: tuple) -> tuple:
+    """diag(1, w) on qubit k past the label P: D P = P D when P_k is I or Z,
+    and D P = w P D* when P_k is X or Y."""
+    name, k = op
+    if (lbl.x >> (k - 1)) & 1:
+        w, conj = _PHASE_GATES[name]
+        return scale(w, lbl), (conj, k)
+    return lbl, op
+
+
+def _conj_step(circ):
+    """Clifford U past the label P: U P = (U P U^dagger) U."""
+    return lambda lbl, op: (conjugate(lbl, circ), op)
 
 
 class Engine:
@@ -234,8 +260,8 @@ class Engine:
         got = self._gate_dd_cache.get(key)
         if got is not None:
             return got
-        if name in _MAT_1Q and len(qubits) == 1:
-            actives, mat = qubits, _MAT_1Q[name]
+        if name in MAT_1Q and len(qubits) == 1:
+            actives, mat = qubits, MAT_1Q[name]
         elif name == "cx" and len(qubits) == 2:
             actives, mat = self._controlled_matrix(qubits[0], qubits[1], "x")
         elif name == "cz" and len(qubits) == 2:
@@ -352,52 +378,49 @@ class Engine:
         self._require_pauli_mode()
         return Edge(mul(p, e.label), e.target)
 
-    def _descend(self, e: Edge, level: int, op_key: tuple, conj_circ, at_node) -> Edge:
-        """Push a Clifford gate acting on qubits <= level down to its level,
-        conjugating edge labels on the way; per-(gate, node) cached."""
+    def _descend(self, e: Edge, level: int, op: tuple, step, at_node) -> Edge:
+        """Push gate ``op`` acting on qubits <= level down to its level.
+
+        ``step(label, op)`` returns ``(label', op')`` with op . label =
+        label' . op', so op' is the gate the subtree sees; ``at_node(v, op)``
+        applies the gate at a node of its level.  Cached per (gate, node)."""
         if is_zero(e.label):
             return e
-        lbl = conjugate(e.label, conj_circ)
+        lbl, op = step(e.label, op)
         v = e.target
-        if v.index == level:
-            res = at_node(v)
-        else:
-            key = (op_key, v.nid)
-            res = self._unary_cache.get(key)
-            if res is None:
-                lo = self._descend(v.low, level, op_key, conj_circ, at_node)
-                hi = self._descend(v.high, level, op_key, conj_circ, at_node)
+        key = (op, v.nid)
+        res = self._unary_cache.get(key)
+        if res is None:
+            if v.index == level:
+                res = at_node(v, op)
+            else:
+                lo = self._descend(v.low, level, op, step, at_node)
+                hi = self._descend(v.high, level, op, step, at_node)
                 res = self.store.make_edge(lo, hi)
-                self._unary_cache[key] = res
+            self._unary_cache[key] = res
         return Edge(mul(lbl, res.label), res.target)
 
-    def apply_phase_S(self, e: Edge, k: int, inverse_gate: bool = False) -> Edge:
+    def apply_phase(self, e: Edge, k: int, gate: str) -> Edge:
+        """Diagonal phase gate ``gate`` (s, sdg, t or tdg) on qubit k."""
         self._require_pauli_mode()
-        phase = -1j if inverse_gate else 1j
-        circ = (("s", k),) * (3 if inverse_gate else 1)
 
-        def at_node(v):
-            return self.store.make_edge(v.low, scale_edge(phase, v.high))
+        def at_node(v, op):
+            w = _PHASE_GATES[op[0]][0]
+            return self.store.make_edge(v.low, scale_edge(w, v.high))
 
-        return self._descend(e, k, ("sdg" if inverse_gate else "s", k), circ, at_node)
+        return self._descend(e, k, (gate, k), _phase_step, at_node)
 
     def apply_hadamard(self, e: Edge, k: int) -> Edge:
         self._require_pauli_mode()
 
-        def at_node(v):
+        def at_node(v, op):
             a0 = self.add(v.low, v.high)
             a1 = self.add(v.low, scale_edge(-1.0, v.high))
             if is_zero(a0.label) and is_zero(a1.label):
                 raise EngineError("hadamard produced the zero state")
             return scale_edge(_SQRT1_2, self.store.make_edge(a0, a1))
 
-        return self._descend(e, k, ("h", k), (("h", k),), at_node)
-
-    def apply_t_top(self, e: Edge) -> Edge:
-        self._require_pauli_mode()
-        f0 = self.store.follow(e, 0)
-        f1 = self.store.follow(e, 1)
-        return self.store.make_edge(f0, scale_edge(_T_PHASE, f1))
+        return self._descend(e, k, ("h", k), _conj_step((("h", k),)), at_node)
 
     def apply_downward_cpauli(self, e: Edge, letter: str, c: int, t: int) -> Edge:
         """Controlled Pauli with the control above the target (c > t)."""
@@ -412,13 +435,13 @@ class Engine:
         else:
             raise EngineError(f"unsupported controlled Pauli {letter!r}")
 
-        def at_node(v):
+        def at_node(v, op):
             q = single(v.index - 1, t, letter)
             return self.store.make_edge(
                 v.low, Edge(mul(q, v.high.label), v.high.target)
             )
 
-        return self._descend(e, c, ("c" + letter, c, t), circ, at_node)
+        return self._descend(e, c, ("c" + letter, c, t), _conj_step(circ), at_node)
 
     def apply_upward_cnot(self, e: Edge, c: int, t: int) -> Edge:
         """CX with the target above the control (t > c): four projections
@@ -427,7 +450,7 @@ class Engine:
         if not t > c:
             raise EngineError("upward form needs target above control")
 
-        def at_node(v):
+        def at_node(v, op):
             lo, hi = v.low, v.high
             a0 = self.add(self._project(lo, c, 0), self._project(hi, c, 1))
             a1 = self.add(self._project(hi, c, 0), self._project(lo, c, 1))
@@ -435,7 +458,7 @@ class Engine:
                 raise EngineError("cnot produced the zero state")
             return self.store.make_edge(a0, a1)
 
-        return self._descend(e, t, ("cxu", c, t), (("cx", c, t),), at_node)
+        return self._descend(e, t, ("cxu", c, t), _conj_step((("cx", c, t),)), at_node)
 
     def apply_mcx(self, e: Edge, controls: Iterable[tuple[int, int]], t: int) -> Edge:
         """Multi-controlled X via psi - P psi + X_t P psi, P the projector
@@ -588,17 +611,10 @@ class Engine:
             e = self.apply_pauli(e, single(self.n, qubits[0], name))
         elif name == "i" and len(qubits) == 1:
             pass
-        elif name == "s" and len(qubits) == 1:
-            e = self.apply_phase_S(e, qubits[0])
-        elif name == "sdg" and len(qubits) == 1:
-            e = self.apply_phase_S(e, qubits[0], inverse_gate=True)
+        elif name in _PHASE_GATES and len(qubits) == 1:
+            e = self.apply_phase(e, qubits[0], name)
         elif name == "h" and len(qubits) == 1:
             e = self.apply_hadamard(e, qubits[0])
-        elif name == "t" and len(qubits) == 1:
-            if qubits[0] == self.n:
-                e = self.apply_t_top(e)
-            else:
-                e = self.apply_gate(self.gate_to_dd("t", qubits), e)
         elif name == "cx" and len(qubits) == 2:
             c, t = qubits
             if c > t:

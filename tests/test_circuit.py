@@ -115,6 +115,19 @@ def test_dense_limit():
         dense_simulate(Circuit(15))
 
 
+def test_build_engine_maps_user_qubits_for_tdg():
+    # user qubit 1 of 3 is engine qubit 2: only amplitudes with bit 1 set turn
+    c = parse_circuit("qubits 3\nh 0\nh 1\nh 2\ntdg 1\n")
+    turned = np.exp(-1j * math.pi / 4) / math.sqrt(8)
+    plain = 1 / math.sqrt(8)
+    for mode in ("limdd", "qmdd"):
+        eng = build_engine(c, mode)
+        for bits in ("000", "001", "010", "100", "111"):
+            want = turned if bits[1] == "1" else plain
+            assert eng.amplitude(bits) == pytest.approx(want, abs=1e-12)
+    assert np.allclose(dense_simulate(c), build_engine(c, "limdd").to_dense(), atol=1e-12)
+
+
 def test_dense_matches_engines_on_random_circuits():
     rng = np.random.default_rng(51)
     names = ["h", "s", "sdg", "t", "x", "y", "z"]

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import limdd.pauli as pl
+from limdd.circuit import GATE_ARITY, Circuit, build_engine, dense_simulate
 from limdd.diagram import Edge, scale_edge
 from limdd.engine import Engine, EngineError
 from oracles import (
@@ -30,6 +32,7 @@ MATS_1Q = {
     "s": S2,
     "sdg": S2.conj().T,
     "t": T2,
+    "tdg": T2.conj().T,
     "x": X2,
     "y": Y2,
     "z": Z2,
@@ -109,6 +112,32 @@ def test_random_circuits_match_dense(mode):
             eng.run_gate(name, *qs)
             ref = dense_gate(name, qs, n) @ ref
             assert np.max(np.abs(eng.to_dense() - ref)) < 1e-8
+
+
+def test_clifford_t_circuits_agree_across_backends():
+    rng = np.random.default_rng(35)
+    names = ("h", "s", "sdg", "t", "tdg", "x", "y", "z")
+    for n in range(1, 9):
+        ops = []
+        for _ in range(30):
+            if n >= 2 and rng.random() < 0.35:
+                a, b = rng.choice(n, size=2, replace=False)
+                ops.append(("cx" if rng.random() < 0.5 else "cz", (int(a), int(b))))
+            else:
+                ops.append((names[int(rng.integers(0, len(names)))], (int(rng.integers(0, n)),)))
+        c = Circuit(n, tuple(ops))
+        ref = np.zeros(1 << n, dtype=complex)
+        ref[0] = 1.0
+        for name, qs in ops:
+            ref = dense_gate(name, tuple(n - q for q in qs), n) @ ref
+        limdd = build_engine(c, "limdd", debug=True)
+        assert limdd.stats.apply_calls == 0
+        for vec in (
+            limdd.to_dense(),
+            build_engine(c, "qmdd").to_dense(),
+            dense_simulate(c),
+        ):
+            assert np.max(np.abs(vec - ref)) < 1e-10
 
 
 def test_cache_disabled_matches_enabled():
@@ -331,14 +360,12 @@ def test_phase_gate_square_is_z():
     for name, qs in random_ops(rng, n, 12):
         eng.run_gate(name, *qs)
     for k in (1, 2, 3):
-        twice = eng.apply_phase_S(eng.apply_phase_S(eng.root, k), k)
+        twice = eng.apply_phase(eng.apply_phase(eng.root, k, "s"), k, "s")
         direct = eng.apply_pauli(eng.root, pl.single(n, k, "Z"))
         assert np.allclose(
             eng.store.to_dense(twice), eng.store.to_dense(direct), atol=1e-10
         )
-        undone = eng.apply_phase_S(
-            eng.apply_phase_S(eng.root, k), k, inverse_gate=True
-        )
+        undone = eng.apply_phase(eng.apply_phase(eng.root, k, "s"), k, "sdg")
         assert np.allclose(
             eng.store.to_dense(undone), eng.to_dense(), atol=1e-10
         )
@@ -359,6 +386,47 @@ def test_t_top_phase():
     eng.run_gate("t", 1)
     want = np.array([1.0, np.exp(1j * math.pi / 4)]) / math.sqrt(2)
     assert np.allclose(eng.to_dense(), want, atol=1e-12)
+    # below the top, T descends past labels with X factors on its qubit
+    n = 3
+    for k in range(1, n + 1):
+        eng = Engine(n)
+        eng.run_gate("h", 1)
+        eng.run_gate("s", 1)
+        eng.run_gate("h", n)
+        eng.run_gate("cx", n, 1)
+        eng.run_gate("x", 2)
+        eng.run_gate("h", 2)
+        ref = eng.to_dense()
+        eng.run_gate("t", k)
+        want = op_on_qubit(n, k, T2) @ ref
+        assert np.allclose(eng.to_dense(), want, atol=1e-12)
+        assert eng.stats.apply_calls == 0
+
+
+def test_every_gate_takes_a_structural_route():
+    rng = np.random.default_rng(33)
+    n = 4
+    eng = Engine(n)
+    for name, qs in random_ops(rng, n, 20):
+        eng.run_gate(name, *qs)
+    for name, arity in GATE_ARITY.items():
+        for qs in itertools.permutations(range(1, n + 1), arity):
+            eng.run_gate(name, *qs)
+    assert eng.stats.apply_calls == 0
+
+
+def test_t_then_tdg_returns_to_the_same_node():
+    rng = np.random.default_rng(34)
+    n = 5
+    eng = Engine(n)
+    for name, qs in random_ops(rng, n, 40):
+        eng.run_gate(name, *qs)
+    before = eng.root
+    for k in range(1, n + 1):
+        eng.run_gate("t", k)
+        eng.run_gate("tdg", k)
+        assert eng.root.target is before.target
+        assert np.allclose(eng.to_dense(), eng.store.to_dense(before), atol=1e-12)
 
 
 def gate_cell(eng, u, n, r, c):
