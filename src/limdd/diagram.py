@@ -26,7 +26,7 @@ stored exactly; stabilizer sets are trivial throughout.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .pauli import (
     Lim,
     PauliLim,
     ZeroLim,
-    find_opposite,
     format_lim,
     gf2_eliminate,
     group_product,
@@ -48,9 +47,9 @@ from .pauli import (
     neg,
     pauli_conjugate,
     rref,
+    rref_insert,
     scale,
     single,
-    string_kernel,
     strip_top,
     tensor_top,
     top_factor,
@@ -157,7 +156,12 @@ class DiagramStore:
 
     ``group`` selects the label group: "pauli" (full labels) or "identity"
     (scalars only).  Nodes are never garbage collected; insertion order is
-    the node order used by the low-precedence rule."""
+    the node order used by the low-precedence rule.
+
+    Two memos serve the stabilizer machinery: ``_stab`` holds each node's
+    reduced stabilizer generators by node id, and ``_pair_memo`` holds the
+    pair record of ``_pair`` (reduced union rows, an opposite element and
+    the intersection) by the content of the two groups."""
 
     def __init__(self, group: str = "pauli"):
         if group not in ("pauli", "identity"):
@@ -170,9 +174,7 @@ class DiagramStore:
         self._zero_low: dict[int, Node] = {}      # v1 nid -> Node (identity mode)
         self._stab: dict[int, GeneratorSet] = {0: GeneratorSet(0, [])}
         self._empty: dict[int, GeneratorSet] = {0: self._stab[0]}
-        self._union_rows_memo: dict = {}
-        self._opposite_memo: dict = {}
-        self._intersect_memo: dict = {}
+        self._pair_memo: dict = {}                # content keys -> pair record
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -286,35 +288,54 @@ class DiagramStore:
 
     # -- stabilizer machinery ----------------------------------------------
 
-    def _union_rows(self, g0: GeneratorSet, g1: GeneratorSet):
-        """Reduced row basis of the strings of <g0 union g1>: rows are
-        (string key, pivot bit, sel) where the low len(g0) bits of sel pick
-        g0 generators, the rest pick g1 generators, and the product of the
-        picked generators has string key."""
-        memo_key = (g0.content_key(), g1.content_key())
-        rows = self._union_rows_memo.get(memo_key)
-        if rows is None:
-            reduced, _ = gf2_eliminate([g.string_key() for g in g0.gens + g1.gens])
-            rows = tuple((k, k.bit_length() - 1, sel) for k, sel in reduced)
-            self._union_rows_memo[memo_key] = rows
-        return rows
+    def _pair(self, g0: GeneratorSet, g1: GeneratorSet) -> tuple:
+        """The pair record (rows, opp, meet) of one elimination over the
+        stacked strings of g0 and g1, memoized by content.
 
-    def _find_opposite(self, g0: GeneratorSet, g1: GeneratorSet) -> Optional[PauliLim]:
-        key = (g0.content_key(), g1.content_key())
-        if key in self._opposite_memo:
-            return self._opposite_memo[key]
-        res = find_opposite(g0, g1)
-        self._opposite_memo[key] = res
-        return res
+        * rows: reduced row basis of the strings of <g0 union g1> as
+          (string key, pivot bit, sel); the low len(g0) bits of sel pick g0
+          generators, the rest pick g1 generators, and the product of the
+          picked generators has that string key.
+        * opp: some h in <g0> with -h in <g1>, or None.
+        * meet: <g0> meet <g1>, reduced.
+
+        The kernel pairs of the elimination are the elements of <g0> and
+        <g1> that share a string.  Sign quotients are multiplicative over
+        the kernel (commuting +-1 generators square to +I exactly), so the
+        first pair whose exact products disagree is the opposite element,
+        and multiplying it into every other disagreeing pair makes the rest
+        of the meet."""
+        memo_key = (g0.content_key(), g1.content_key())
+        got = self._pair_memo.get(memo_key)
+        if got is not None:
+            return got
+        n = g0.n
+        k0 = len(g0.gens)
+        low = (1 << k0) - 1
+        reduced, kernel = gf2_eliminate([g.string_key() for g in g0.gens + g1.gens])
+        rows = tuple((k, k.bit_length() - 1, sel) for k, sel in reduced)
+        agree: list[PauliLim] = []
+        clash: list[PauliLim] = []
+        for sel in kernel:
+            p0 = group_product(g0.gens, sel & low, n)
+            p1 = group_product(g1.gens, sel >> k0, n)
+            (agree if p0.scalar.real * p1.scalar.real > 0 else clash).append(p0)
+        opp = clash[0] if clash else None
+        agree.extend(mul(h, opp) for h in clash[1:])
+        meet = rref(GeneratorSet(n, agree)) if agree else self.empty_set(n)
+        got = (rows, opp, meet)
+        self._pair_memo[memo_key] = got
+        return got
 
     def arg_lex_min(
         self, g0: GeneratorSet, g1: GeneratorSet, a: PauliLim
     ) -> tuple[PauliLim, PauliLim, PauliLim]:
         """(w0, w1, value): w0 in <g0>, w1 in <g1>, value = a.w0.w1 is the
         lexicographic minimum of the double coset, phase included."""
+        rows, opp, _ = self._pair(g0, g1)
         sel = 0
         key = a.string_key()
-        for k, piv, s in self._union_rows(g0, g1):
+        for k, piv, s in rows:
             if (key >> piv) & 1:
                 key ^= k
                 sel ^= s
@@ -322,7 +343,6 @@ class DiagramStore:
         acc0 = group_product(g0.gens, sel & ((1 << k0) - 1), a.n)
         acc1 = group_product(g1.gens, sel >> k0, a.n)
         cand = mul(mul(a, acc0), acc1)
-        opp = self._find_opposite(g0, g1)
         if opp is not None:
             h0 = mul(acc0, opp)
             h1 = mul(neg(opp), acc1)
@@ -342,31 +362,8 @@ class DiagramStore:
     def intersect_stabilizer_groups(
         self, g0: GeneratorSet, g1: GeneratorSet
     ) -> GeneratorSet:
-        """<g0> meet <g1>: string-kernel pairs whose exact products agree.
-
-        Sign quotients are multiplicative over the kernel, so one basis
-        vector with a sign clash repairs all the others by XOR."""
-        key = (g0.content_key(), g1.content_key())
-        got = self._intersect_memo.get(key)
-        if got is not None:
-            return got
-        n = g0.n
-        pairs = string_kernel(g0, g1)
-        agree = []
-        for m0, m1 in pairs:
-            p0 = group_product(g0.gens, m0, n)
-            p1 = group_product(g1.gens, m1, n)
-            agree.append(p0.scalar.real * p1.scalar.real > 0)
-        flip = next((i for i, ok in enumerate(agree) if not ok), None)
-        sels = []
-        for i, (m0, _) in enumerate(pairs):
-            if agree[i]:
-                sels.append(m0)
-            elif i != flip:
-                sels.append(m0 ^ pairs[flip][0])
-        res = rref(GeneratorSet(n, [group_product(g0.gens, m, n) for m in sels]))
-        self._intersect_memo[key] = res
-        return res
+        """<g0> meet <g1>, reduced (from the pair record)."""
+        return self._pair(g0, g1)[2]
 
     def intersect_isomorphism_sets(
         self, pi0: PauliLim, g0: GeneratorSet, pi1: PauliLim, g1: GeneratorSet
@@ -410,47 +407,36 @@ class DiagramStore:
                 gens.append(single(1, 1, "Y"))
             elif abs(beta + 1j) <= EPS_EQ:
                 gens.append(single(1, 1, "Y", -1.0))
-        return rref(GeneratorSet(1, gens))
+        return GeneratorSet(1, gens)
 
     def _stab_recursive(self, v: Node) -> GeneratorSet:
+        # I (x) a reduced basis is still reduced, so the node's basis is the
+        # children's common part plus at most three inserted rows
         m = v.index
         v0 = v.low.target
         g0 = self.get_stabilizer_gen_set(v0)
-        gens: list[PauliLim] = []
         if is_zero(v.high.label):
-            gens = [tensor_top("I", g) for g in g0.gens]
-            gens.append(single(m, m, "Z"))
-            return rref(GeneratorSet(m, gens))
+            return rref_insert(_prefix_i(g0), [single(m, m, "Z")])
         a1 = v.high.label
         v1 = v.high.target
-        g1v = self.get_stabilizer_gen_set(v1)
         # conjugation only flips signs, so the reduced set stays reduced
-        g1 = GeneratorSet(m - 1, [pauli_conjugate(a1, g) for g in g1v.gens])
-        ident = identity(m - 1)
-        # diagonal stabilizers: I (x) (G0 meet G1) and Z (x) (iso of e1 and -e1)
-        res = self.intersect_isomorphism_sets(ident, g0, ident, g1)
-        if res is not None:
-            gens.extend(tensor_top("I", g) for g in res[1].gens)
-        iso = self.get_isomorphism(v.high, Edge(neg(a1), v1))
-        if iso is not None:
-            res = self.intersect_isomorphism_sets(ident, g0, iso, g1)
-            if res is not None:
-                gens.append(tensor_top("Z", res[0]))
-        # antidiagonal stabilizers need the children to be isomorphic
-        p0 = self.get_isomorphism(v.low, v.high)
-        p1 = self.get_isomorphism(v.high, v.low)
-        if p0 is not None and p1 is not None:
-            res = self.intersect_isomorphism_sets(p0, g0, p1, g1)
-            if res is not None:
-                gens.append(tensor_top("X", res[0]))
-        em = Edge(scale(-1j, a1), v1)
-        p0 = self.get_isomorphism(v.low, em)
-        p1 = self.get_isomorphism(em, v.low)
-        if p0 is not None and p1 is not None:
-            res = self.intersect_isomorphism_sets(p0, g0, p1, g1)
-            if res is not None:
-                gens.append(tensor_top("Y", res[0]))
-        return rref(GeneratorSet(m, gens))
+        g1 = GeneratorSet.exact(
+            m - 1, tuple(pauli_conjugate(a1, g) for g in self.get_stabilizer_gen_set(v1).gens)
+        )
+        _, opp, meet = self._pair(g0, g1)
+        # diagonal stabilizers: I (x) (G0 meet G1) and Z (x) h, h in G0, -h in G1
+        new = [] if opp is None else [tensor_top("Z", opp)]
+        # antidiagonal stabilizers need the children to be isomorphic, which
+        # canonicity turns into the children being the same node.  X (x) h
+        # swaps the halves, so h must take |v0> to a1|v1> and back; Y (x) h
+        # the same with -i a1
+        if v0 is v1:
+            for letter, c in (("X", 1.0), ("Y", -1j)):
+                p0 = scale(c, a1)
+                res = self.intersect_isomorphism_sets(p0, g0, inverse(p0), g1)
+                if res is not None:
+                    new.append(tensor_top(letter, res[0]))
+        return rref_insert(_prefix_i(meet), new)
 
     # -- canonicalizing constructor -----------------------------------------
 
@@ -607,6 +593,13 @@ class DiagramStore:
                 )
         lines.append("}")
         return "\n".join(lines)
+
+
+def _prefix_i(g: GeneratorSet) -> GeneratorSet:
+    """I (x) g: the same bitmasks on one more qubit."""
+    return GeneratorSet.exact(
+        g.n + 1, tuple(PauliLim(g.n + 1, r.x, r.z, r.scalar) for r in g.gens)
+    )
 
 
 def lim_apply_dense(a: Lim, vec: np.ndarray) -> np.ndarray:

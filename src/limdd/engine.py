@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -600,10 +601,19 @@ class Engine:
     # -- top-level driver ---------------------------------------------------
 
     def run_gate(self, name: str, *qubits: int) -> None:
-        """Apply a named gate to the current root state."""
+        """Apply a named gate to the current root state.  A gate that runs
+        out of recursion depth raises EngineError and leaves the root as it
+        was."""
         name = name.lower()
         self._check_qubits(qubits)
         self.stats.gate_count += 1
+        try:
+            e = self._dispatch(name, qubits)
+        except RecursionError:
+            raise self._too_deep(name) from None
+        self.set_root(e)
+
+    def _dispatch(self, name: str, qubits: tuple) -> Edge:
         e = self.root
         if self.mode == "qmdd":
             e = self.apply_gate(self.gate_to_dd(name, qubits), e)
@@ -626,12 +636,25 @@ class Engine:
             e = self.apply_downward_cpauli(e, "Z", c, t)
         else:
             raise EngineError(f"unknown gate {name!r} for {len(qubits)} qubits")
-        self.set_root(e)
+        return e
 
     def run_mcx(self, controls: Iterable[tuple[int, int]], target: int) -> None:
         """Multi-controlled X on the current root, with gate bookkeeping."""
         self.stats.gate_count += 1
-        self.set_root(self.apply_mcx(self.root, tuple(controls), target))
+        try:
+            e = self.apply_mcx(self.root, tuple(controls), target)
+        except RecursionError:
+            raise self._too_deep("mcx") from None
+        self.set_root(e)
+
+    def _too_deep(self, name: str) -> EngineError:
+        # the descents recurse once per level, so the interpreter's
+        # recursion limit caps the qubit count a gate can reach through
+        return EngineError(
+            f"{name} on {self.n} qubits ({self.mode} mode) exceeds the "
+            f"recursion limit of {sys.getrecursionlimit()}; the diagram "
+            "descent recurses once per qubit"
+        )
 
     def set_root(self, e: Edge) -> None:
         """Make ``e`` the current state.  The one place that tracks the peak

@@ -13,10 +13,16 @@ and is never a member of a generator set.
 
 Generator sets hold independent commuting strings with scalars +-1 and are
 the working representation for stabilizer subgroups.  Every GF(2) step on
-them (row reduction, string kernels, and the double-coset minimum in the
-diagram store) runs through ``gf2_eliminate`` on the ``string_key``
-integers.  It records which inputs make up each row as a selection bitmask,
-and ``group_product`` turns a mask back into an element with its exact sign.
+them runs through ``gf2_eliminate`` on the ``string_key`` integers.  It
+records which inputs make up each row as a selection bitmask, and
+``group_product`` turns a mask back into an element with its exact sign.
+``rref`` reduces a whole set; ``rref_insert`` adds rows to a set that is
+already reduced without reducing it again.  The diagram store takes the
+double-coset minimum, the opposite element and the intersection of two
+groups from one elimination per pair (``DiagramStore._pair``).
+``string_kernel`` and ``find_opposite`` are the same kernel steps on their
+own; the store no longer calls them, and they stay because the benchmark's
+tracer (``bench/tracing.py``) counts them by name.
 Clifford circuits for ``conjugate`` are flat tuples of ("h", q), ("s", q),
 ("cx", c, t) with 1-based qubits.
 """
@@ -42,13 +48,6 @@ class PauliError(Exception):
 
 class NotAStabilizerGroupError(PauliError):
     """Raised when a generator set is dependent, non-commuting, or yields -I."""
-
-
-def _bits(v: int) -> Iterator[int]:
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
 
 
 class PauliLim:
@@ -313,6 +312,16 @@ class GeneratorSet:
         self.gens = tuple(snapped)
         self._ckey = None
 
+    @classmethod
+    def exact(cls, n: int, gens: tuple) -> "GeneratorSet":
+        """A set of rows already on ``n`` qubits with scalars exactly +-1
+        (built from another set's rows), taken as they are."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.gens = gens
+        g._ckey = None
+        return g
+
     def content_key(self) -> tuple:
         if self._ckey is None:
             self._ckey = (self.n,) + tuple(
@@ -332,10 +341,12 @@ class GeneratorSet:
 def _snap_sign(g: PauliLim) -> PauliLim:
     """Force a generator scalar to exactly +-1; reject anything else."""
     s = g.scalar
+    if s == 1.0 or s == -1.0:
+        return g
     if abs(s - 1.0) <= 1e-9:
-        return PauliLim(g.n, g.x, g.z, 1.0) if s != 1.0 else g
+        return PauliLim(g.n, g.x, g.z, 1.0)
     if abs(s + 1.0) <= 1e-9:
-        return PauliLim(g.n, g.x, g.z, -1.0) if s != -1.0 else g
+        return PauliLim(g.n, g.x, g.z, -1.0)
     raise NotAStabilizerGroupError(f"generator scalar {s} is not +-1")
 
 
@@ -354,27 +365,37 @@ def gf2_eliminate(keys: Sequence[int]) -> tuple[list[tuple[int, int]], list[int]
       a basis of all such combinations, so ``len(rows) + len(kernel) ==
       len(keys)``.
 
-    The basis stays reduced after every insertion, so a new row is cleared
-    by one pass over the pivots and its own pivot is its ``bit_length``."""
-    basis: list[list[int]] = []   # [pivot bit, key, sel]
+    The basis stays reduced after every insertion.  So clearing a new row
+    touches only the pivots it has set, each XOR leaving the others alone,
+    and its own pivot is its ``bit_length``.  Rows carrying that pivot are
+    looked for only when some row has ever had the bit (``seen``), which
+    an already reduced input never does."""
+    basis: dict[int, list[int]] = {}   # pivot bit -> [key, sel]
+    pivots = 0
+    seen = 0
     kernel: list[int] = []
     for i, key in enumerate(keys):
         sel = 1 << i
-        for piv, k, s in basis:
-            if (key >> piv) & 1:
-                key ^= k
-                sel ^= s
+        hit = key & pivots
+        while hit:
+            low = hit & -hit
+            row = basis[low.bit_length() - 1]
+            key ^= row[0]
+            sel ^= row[1]
+            hit ^= low
         if not key:
             kernel.append(sel)
             continue
         piv = key.bit_length() - 1
-        for row in basis:
-            if (row[1] >> piv) & 1:
-                row[1] ^= key
-                row[2] ^= sel
-        basis.append([piv, key, sel])
-    basis.sort(reverse=True)
-    return [(k, s) for _, k, s in basis], kernel
+        if (seen >> piv) & 1:
+            for row in basis.values():
+                if (row[0] >> piv) & 1:
+                    row[0] ^= key
+                    row[1] ^= sel
+        basis[piv] = [key, sel]
+        pivots |= 1 << piv
+        seen |= key
+    return [tuple(basis[p]) for p in sorted(basis, reverse=True)], kernel
 
 
 def group_product(gens: Sequence[PauliLim], mask: int, n: int) -> PauliLim:
@@ -384,10 +405,13 @@ def group_product(gens: Sequence[PauliLim], mask: int, n: int) -> PauliLim:
     generators commute."""
     if not mask:
         return identity(n)
-    picked = _bits(mask)
-    res = gens[next(picked)]
-    for b in picked:
-        res = mul(res, gens[b])
+    low = mask & -mask
+    res = gens[low.bit_length() - 1]
+    mask ^= low
+    while mask:
+        low = mask & -mask
+        res = mul(res, gens[low.bit_length() - 1])
+        mask ^= low
     return res
 
 
@@ -404,6 +428,40 @@ def rref(g: GeneratorSet) -> GeneratorSet:
         if abs(group_product(g.gens, sel, n).scalar - 1.0) > EPS_EQ:
             raise NotAStabilizerGroupError("generators produce -I")
     return GeneratorSet(n, [group_product(g.gens, sel, n) for _, sel in rows])
+
+
+def rref_insert(g: GeneratorSet, rows: Iterable[PauliLim]) -> GeneratorSet:
+    """``rref`` of g's generators followed by ``rows``, for ``g`` already
+    reduced, without re-reducing ``g``.
+
+    Each new row is cleared by one pass over the pivots.  A row that
+    survives has a fresh pivot: it is cleared from the few rows that carry
+    that bit (their own pivots stay put) and the row is placed by key.  A
+    row that reduces to +I is dropped and one that reduces to -I is an
+    error, as in ``rref``.  Cost per new row is linear in ``len(g)``."""
+    gens = list(g.gens)
+    keys = [r.string_key() for r in gens]   # decreasing
+    for p in rows:
+        p = _snap_sign(p)
+        key = p.string_key()
+        for i, k in enumerate(keys):
+            if (key >> (k.bit_length() - 1)) & 1:
+                key ^= k
+                p = mul(p, gens[i])
+        if not key:
+            if abs(p.scalar - 1.0) > EPS_EQ:
+                raise NotAStabilizerGroupError("generators produce -I")
+            continue
+        p = _snap_sign(p)
+        piv = key.bit_length() - 1
+        for i, k in enumerate(keys):
+            if (k >> piv) & 1:
+                keys[i] = k ^ key
+                gens[i] = _snap_sign(mul(gens[i], p))
+        at = next((i for i, k in enumerate(keys) if k < key), len(keys))
+        keys.insert(at, key)
+        gens.insert(at, p)
+    return GeneratorSet.exact(g.n, tuple(gens))
 
 
 def string_kernel(g0: GeneratorSet, g1: GeneratorSet) -> list[tuple[int, int]]:

@@ -261,6 +261,15 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert "line 2" in res.output
 
 
+def test_cli_recursion_limit_is_one_line_error(tmp_path):
+    path = tmp_path / "deep.qc"
+    path.write_text("qubits 600\nh 599\n")
+    res = CliRunner().invoke(cli_main, ["run", str(path), "--mode", "qmdd"])
+    assert res.exit_code == 1
+    assert res.output.startswith("error: h on 600 qubits")
+    assert res.output.count("\n") == 1
+
+
 def test_cli_compare_failure_exit_code(tmp_path, monkeypatch):
     path = tmp_path / "bell.qc"
     path.write_text(BELL)

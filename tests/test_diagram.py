@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import limdd.pauli as pl
 from limdd.diagram import DiagramError, DiagramStore, Edge, ScalarKeyedTable
+from limdd.engine import Engine
 from oracles import (
     apply_lim_dense,
     brute_stabilizer_elements,
@@ -362,6 +363,42 @@ def test_stab_level_one_scan_covers_negative_phases():
             -1,
         )
         assert group_keys(store._stab_level_one(v)) == want
+
+
+def test_stab_gen_set_on_clifford_t_stores():
+    # every node of stores grown by Clifford+T circuits against brute force,
+    # with each way a node's group gets its rows seen at least once
+    rng = np.random.default_rng(79)
+    seen = dict.fromkeys(("zero high", "meet", "opposite", "same children"), 0)
+    for n in (2, 3, 3, 4, 4, 4, 5):
+        eng = Engine(n)
+        for _ in range(3 * n):
+            name = str(rng.choice(["h", "h", "s", "t", "x", "cx", "cx", "cz"]))
+            if name in ("cx", "cz"):
+                a, b = rng.choice(np.arange(1, n + 1), size=2, replace=False)
+                eng.run_gate(name, int(a), int(b))
+            else:
+                eng.run_gate(name, int(rng.integers(1, n + 1)))
+        store = eng.store
+        for v in store.nodes[1:]:
+            m = v.index
+            node_vec = store.to_dense(Edge(pl.identity(m), v))
+            want = {
+                (p.x, p.z, 1 if p.scalar.real > 0 else -1)
+                for p in brute_stabilizer_elements(node_vec)
+            }
+            assert group_keys(store.get_stabilizer_gen_set(v)) == want
+            # top-qubit letters of the non-identity elements
+            tops = {((x >> (m - 1)) & 1, (z >> (m - 1)) & 1) for x, z, _ in want if x or z}
+            if pl.is_zero(v.high.label):
+                seen["zero high"] += 1
+                continue
+            seen["meet"] += (0, 0) in tops
+            seen["opposite"] += (0, 1) in tops
+            seen["same children"] += v.low.target is v.high.target and bool(
+                tops & {(1, 0), (1, 1)}
+            )
+    assert min(seen.values()) > 0, seen
 
 
 def test_stab_cache_is_eager():

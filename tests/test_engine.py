@@ -224,6 +224,22 @@ def test_hadamard_add_call_bound():
         assert eng.stats.add_cache_misses - before <= 5 * n
 
 
+def test_hadamard_add_call_bound_at_larger_n():
+    # the same 5n bound on every H of random Clifford circuits at sizes
+    # past acceptance 4's n <= 12 (measured worst: about 2n)
+    rng = np.random.default_rng(83)
+    for n in (16, 32, 48):
+        eng = Engine(n)
+        hs = 0
+        for gate in random_clifford_circuit(n, rng, 3 * n):
+            before = eng.stats.add_cache_misses
+            eng.run_gate(*gate)
+            if gate[0] == "h":
+                hs += 1
+                assert eng.stats.add_cache_misses - before <= 5 * n, (n, gate)
+        assert hs > n // 2
+
+
 def test_measurement_probability_plus_state():
     eng = Engine(1)
     eng.run_gate("h", 1)
@@ -542,6 +558,15 @@ def test_gate_argument_validation():
         Engine(0)
     with pytest.raises(EngineError):
         Engine(2, mode="dense")
+
+
+def test_gate_past_the_recursion_limit_is_an_engine_error():
+    # the qmdd descent recurses once per level and runs out of depth here
+    eng = Engine(600, mode="qmdd")
+    root = eng.root
+    with pytest.raises(EngineError, match="600 qubits"):
+        eng.run_gate("h", 1)
+    assert eng.root is root
 
 
 def test_stats_output_shape():

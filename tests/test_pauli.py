@@ -184,6 +184,40 @@ def test_rref_detects_minus_identity():
         pl.rref(g)
 
 
+def test_rref_insert_matches_rref():
+    # a reduced basis plus up to three commuting rows (pivots hidden under
+    # basis elements), sometimes with a dependent row that multiplies to +I
+    # (dropped) or to -I (an error): the insertion gives rref's exact rows
+    rng = np.random.default_rng(71)
+    dropped = raised = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        full = random_stabilizer_genset(n, rng)
+        j = int(rng.integers(0, len(full) + 1))
+        basis = pl.rref(pl.GeneratorSet(n, full.gens[:j]))
+        rows = [
+            pl.mul(r, pl.group_product(basis.gens, int(rng.integers(0, 1 << len(basis))), n))
+            for r in full.gens[j:j + 3]
+        ]
+        kind = int(rng.integers(0, 3))   # 0: as is, 1: +I dependent, 2: -I dependent
+        pool = list(basis.gens) + rows
+        if kind and pool and len(rows) < 3:
+            dep = pl.group_product(pool, int(rng.integers(1, 1 << len(pool))), n)
+            rows.insert(int(rng.integers(0, len(rows) + 1)), pl.neg(dep) if kind == 2 else dep)
+        try:
+            want = pl.rref(pl.GeneratorSet(n, list(basis.gens) + rows))
+        except pl.NotAStabilizerGroupError:
+            with pytest.raises(pl.NotAStabilizerGroupError):
+                pl.rref_insert(basis, rows)
+            raised += 1
+            continue
+        got = pl.rref_insert(basis, rows)
+        assert [(g.x, g.z, g.scalar) for g in got] == [(g.x, g.z, g.scalar) for g in want]
+        assert all(g.n == n for g in got)
+        dropped += len(got) < len(basis) + len(rows)
+    assert dropped > 10 and raised > 10
+
+
 def test_division_remainder_minimal():
     # dividing by <g> is arg_lex_min against the empty right-hand group
     rng = np.random.default_rng(29)
