@@ -25,7 +25,6 @@ stored exactly; stabilizer sets are trivial throughout.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -57,8 +56,6 @@ from .pauli import (
 )
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-_TWO_PI = 2.0 * math.pi
-_THETA_CELLS = round(_TWO_PI * 1e9) + 1
 
 
 class DiagramError(Exception):
@@ -102,13 +99,6 @@ def scale_edge(c: complex, e: Edge) -> Edge:
     return Edge(scale(c, e.label), e.target)
 
 
-def _scalar_cell(c: complex) -> tuple[int, int]:
-    t = math.atan2(c.imag, c.real)
-    if t < 0:
-        t += _TWO_PI
-    return round(abs(c) * 1e9), round(t * 1e9)
-
-
 def _scalar_close(a: complex, b: complex) -> bool:
     return abs(a - b) <= EPS_EQ * max(1.0, abs(a))
 
@@ -116,9 +106,14 @@ def _scalar_close(a: complex, b: complex) -> bool:
 class ScalarKeyedTable:
     """Mapping with keys (discrete part, complex scalar).
 
-    The scalar is hashed on a 1e-9 polar grid; lookups probe the neighbouring
-    cells (with phase wrap-around) and confirm with an exact comparison, so
-    nearly-equal scalars from different float paths land on one entry."""
+    The scalar is hashed on a Cartesian grid of 1e-9 cells (real and
+    imaginary part each rounded to a multiple of 1e-9).  A lookup probes
+    every cell that can hold a stored scalar s with ``_scalar_close(s,
+    scalar)``: such an s lies within tol = 2 * EPS_EQ * max(1, |scalar|) of
+    the query in each coordinate, so the probed range is round((re +- tol) *
+    1e9) x round((im +- tol) * 1e9).  Near |scalar| = 1 that is usually one
+    cell.  Matches are confirmed with ``_scalar_close``, so nearly-equal
+    scalars from different float paths land on one entry."""
 
     __slots__ = ("_d",)
 
@@ -129,10 +124,12 @@ class ScalarKeyedTable:
         return sum(len(v) for v in self._d.values())
 
     def get(self, disc: tuple, scalar: complex):
-        rc, tc = _scalar_cell(scalar)
-        for dr in (0, -1, 1):
-            for dt in (0, -1, 1):
-                bucket = self._d.get((disc, rc + dr, (tc + dt) % _THETA_CELLS))
+        re, im = scalar.real, scalar.imag
+        tol = 2.0 * EPS_EQ * max(1.0, abs(scalar))
+        d = self._d
+        for rc in range(round((re - tol) * 1e9), round((re + tol) * 1e9) + 1):
+            for ic in range(round((im - tol) * 1e9), round((im + tol) * 1e9) + 1):
+                bucket = d.get((disc, rc, ic))
                 if bucket:
                     for s, val in bucket:
                         if _scalar_close(s, scalar):
@@ -140,8 +137,8 @@ class ScalarKeyedTable:
         return None
 
     def put(self, disc: tuple, scalar: complex, val) -> None:
-        rc, tc = _scalar_cell(scalar)
-        self._d.setdefault((disc, rc, tc), []).append((scalar, val))
+        key = (disc, round(scalar.real * 1e9), round(scalar.imag * 1e9))
+        self._d.setdefault(key, []).append((scalar, val))
 
     def clear(self) -> None:
         self._d.clear()
@@ -161,7 +158,15 @@ class DiagramStore:
     Two memos serve the stabilizer machinery: ``_stab`` holds each node's
     reduced stabilizer generators by node id, and ``_pair_memo`` holds the
     pair record of ``_pair`` (reduced union rows, an opposite element and
-    the intersection) by the content of the two groups."""
+    the intersection) by the content of the two groups.
+
+    Trivial-group lane: most nodes of a non-stabilizer state, and every
+    node of an identity-group store, have the stabilizer group {I}.  There
+    the double-coset minimum of a label is the label itself, so
+    ``arg_lex_min``, ``root_label``, ``get_labels`` and ``_stab_recursive``
+    answer such queries directly, with what the general path computes on
+    that input and without an elimination; ``follow`` likewise skips the
+    Pauli algebra for a label whose string is the identity."""
 
     def __init__(self, group: str = "pauli"):
         if group not in ("pauli", "identity"):
@@ -224,6 +229,13 @@ class DiagramStore:
         a = e.label
         if is_zero(a):
             return Edge(zero(v.index - 1), v.low.target)
+        if not (a.x or a.z):
+            # a scalar label: no flip, no sign, only the scalar to fold in
+            branch = v.high if b else v.low
+            c = branch.label
+            if is_zero(c):
+                return Edge(c, branch.target)
+            return Edge(PauliLim(c.n, c.x, c.z, a.scalar * c.scalar), branch.target)
         x, zb = top_factor(a)
         rest = strip_top(a)
         z1 = _PHASES[(x & zb) % 4]
@@ -271,21 +283,6 @@ class DiagramStore:
 
         return edge_vec(e, e.target.index)
 
-    def is_pauli_equivalent(self, e: Edge, f: Edge) -> bool:
-        if is_zero(e.label) or is_zero(f.label):
-            return is_zero(e.label) and is_zero(f.label)
-        return e.target is f.target
-
-    def get_isomorphism(self, e: Edge, f: Edge) -> Optional[PauliLim]:
-        """A LIM C with C|e> = |f>, or None; exact thanks to canonicity."""
-        if is_zero(e.label) and is_zero(f.label):
-            raise DiagramError("no isomorphism between zero vectors")
-        if is_zero(e.label) or is_zero(f.label):
-            return None
-        if e.target is not f.target:
-            return None
-        return mul(f.label, inverse(e.label))
-
     # -- stabilizer machinery ----------------------------------------------
 
     def _pair(self, g0: GeneratorSet, g1: GeneratorSet) -> tuple:
@@ -332,6 +329,8 @@ class DiagramStore:
     ) -> tuple[PauliLim, PauliLim, PauliLim]:
         """(w0, w1, value): w0 in <g0>, w1 in <g1>, value = a.w0.w1 is the
         lexicographic minimum of the double coset, phase included."""
+        if not (g0.gens or g1.gens):
+            return identity(a.n), identity(a.n), a
         rows, opp, _ = self._pair(g0, g1)
         sel = 0
         key = a.string_key()
@@ -357,6 +356,8 @@ class DiagramStore:
             raise DiagramError("zero edges have no root label")
         v = e.target
         g = self.get_stabilizer_gen_set(v)
+        if not g.gens:
+            return e.label
         return self.arg_lex_min(g, self.empty_set(v.index), e.label)[2]
 
     def intersect_stabilizer_groups(
@@ -419,10 +420,11 @@ class DiagramStore:
             return rref_insert(_prefix_i(g0), [single(m, m, "Z")])
         a1 = v.high.label
         v1 = v.high.target
+        g1 = self.get_stabilizer_gen_set(v1)
+        if not (g0.gens or g1.gens) and v0 is not v1:
+            return self.empty_set(m)
         # conjugation only flips signs, so the reduced set stays reduced
-        g1 = GeneratorSet.exact(
-            m - 1, tuple(pauli_conjugate(a1, g) for g in self.get_stabilizer_gen_set(v1).gens)
-        )
+        g1 = GeneratorSet.exact(m - 1, tuple(pauli_conjugate(a1, g) for g in g1.gens))
         _, opp, meet = self._pair(g0, g1)
         # diagonal stabilizers: I (x) (G0 meet G1) and Z (x) h, h in G0, -h in G1
         new = [] if opp is None else [tensor_top("Z", opp)]
@@ -456,8 +458,11 @@ class DiagramStore:
         g1 = self.get_stabilizer_gen_set(v1)
         lam = a_hat.scalar
         p_unit = PauliLim(a_hat.n, a_hat.x, a_hat.z, 1.0)
-        w0, w1, _ = self.arg_lex_min(g0, g1, a_hat)
-        m = mul(mul(w0, p_unit), w1)
+        if g0.gens or g1.gens:
+            w0, w1, _ = self.arg_lex_min(g0, g1, a_hat)
+            m = mul(mul(w0, p_unit), w1)
+        else:
+            w0, m = identity(a_hat.n), p_unit
         best = None
         choice = (0, 0)
         xs_options = ((0, 0), (0, 1), (1, 0), (1, 1)) if v0 is v1 else ((0, 0), (0, 1))

@@ -15,7 +15,15 @@ In "limdd" mode every gate takes a structural route:
 
 A "qmdd" engine forces the identity label group and routes every gate
 through generic matrix application of a 2n-level gate diagram, since the
-structural updates write Pauli factors onto labels.
+structural updates write Pauli factors onto labels.  Its nodes all have the
+trivial stabilizer group, so its cache keys are the labels themselves and
+it never runs a stabilizer elimination (see ``DiagramStore``).
+
+Sampling walks one path down from the root, weighting each branch by its
+squared norm; it creates no nodes and does not recurse.  The projections
+behind ``measurement_probability`` and ``update_post_meas`` recurse once
+per level, as the gate routes do, and report the recursion limit as an
+``EngineError``.
 """
 
 from __future__ import annotations
@@ -490,13 +498,28 @@ class Engine:
         return abs(e.label.scalar) ** 2 * self._norm_node(e.target)
 
     def _norm_node(self, v) -> float:
+        """Squared norm of |v>, cached per node.  Children are done first
+        from an explicit stack, so depth is not bounded by recursion."""
         if v.index == 0:
             return 1.0
-        got = self._norm_cache.get(v.nid)
-        if got is None:
-            got = self.squared_norm(v.low) + self.squared_norm(v.high)
-            self._norm_cache[v.nid] = got
-        return got
+        cache = self._norm_cache
+        stack = [v]
+        while stack:
+            u = stack[-1]
+            if u.nid in cache:
+                stack.pop()
+                continue
+            todo = [
+                c.target
+                for c in (u.low, u.high)
+                if not is_zero(c.label) and c.target.index and c.target.nid not in cache
+            ]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            cache[u.nid] = self.squared_norm(u.low) + self.squared_norm(u.high)
+        return cache[v.nid]
 
     def _snp(self, e: Edge, y: int, k: int) -> float:
         """Squared norm of (projector onto qubit k = y) |e>."""
@@ -522,7 +545,10 @@ class Engine:
         norm = self.squared_norm(e)
         if norm == 0.0:
             raise EngineError("zero state has no measurement probabilities")
-        p = self._snp(e, y, k) / norm
+        try:
+            p = self._snp(e, y, k) / norm
+        except RecursionError:
+            raise self._too_deep("measurement_probability") from None
         return min(max(p, 0.0), 1.0)
 
     def _project(self, e: Edge, k: int, b: int) -> Edge:
@@ -566,21 +592,37 @@ class Engine:
             raise EngineError("cannot measure the zero state")
         if not 1 <= k <= e.target.index:
             raise EngineError(f"qubit {k} out of range")
-        res = self._project(e, k, b)
+        try:
+            res = self._project(e, k, b)
+        except RecursionError:
+            raise self._too_deep("update_post_meas") from None
         if is_zero(res.label):
             raise EngineError(f"outcome {b} on qubit {k} has probability zero")
         return res
 
     def sample(self, rng, e: Optional[Edge] = None) -> str:
         """One full measurement in the computational basis; leftmost bit is
-        the top qubit."""
+        the top qubit.
+
+        Walks down one path from the root: at each level the 0-branch is
+        taken with probability |branch 0|^2 / |current edge|^2, drawn with
+        one ``rng.random()``, and the walk goes on in the chosen branch.
+        Only node norms are computed (and cached); no node is created."""
         cur = self.root if e is None else e
+        norm = self.squared_norm(cur)
+        if norm == 0.0:
+            raise EngineError("zero state has no measurement probabilities")
         bits = []
-        for k in range(cur.target.index, 0, -1):
-            p0 = self.measurement_probability(cur, k, 0)
-            b = 0 if rng.random() < p0 else 1
-            bits.append(str(b))
-            cur = self.update_post_meas(cur, k, b)
+        while cur.target.index:
+            low = self.store.follow(cur, 0)
+            n0 = self.squared_norm(low)
+            nxt = low if rng.random() < n0 / norm else self.store.follow(cur, 1)
+            if is_zero(nxt.label):
+                # n0 / norm can round to just under 1 when branch 1 is empty
+                nxt = low
+            norm = n0 if nxt is low else self.squared_norm(nxt)
+            bits.append("0" if nxt is low else "1")
+            cur = nxt
         return "".join(bits)
 
     def prob_of_string(self, e: Edge, bits) -> float:
@@ -648,8 +690,8 @@ class Engine:
         self.set_root(e)
 
     def _too_deep(self, name: str) -> EngineError:
-        # the descents recurse once per level, so the interpreter's
-        # recursion limit caps the qubit count a gate can reach through
+        # the descents and projections recurse once per level, so the
+        # interpreter's recursion limit caps the qubit count they reach
         return EngineError(
             f"{name} on {self.n} qubits ({self.mode} mode) exceeds the "
             f"recursion limit of {sys.getrecursionlimit()}; the diagram "

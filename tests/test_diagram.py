@@ -249,8 +249,7 @@ def test_pauli_equivalent_states_share_node():
             e = edge_from_dense(store, vec)
             f = edge_from_dense(store, apply_lim_dense(p, vec))
             assert f.target is e.target
-            assert store.is_pauli_equivalent(e, f)
-            iso = store.get_isomorphism(e, f)
+            iso = pl.mul(f.label, pl.inverse(e.label))
             np.testing.assert_allclose(
                 apply_lim_dense(iso, store.to_dense(e)), store.to_dense(f), atol=1e-9
             )
@@ -262,8 +261,11 @@ def test_distinct_states_get_distinct_nodes():
     e = edge_from_dense(store, random_vec(rng, 3))
     f = edge_from_dense(store, random_vec(rng, 3))
     assert e.target is not f.target
-    assert not store.is_pauli_equivalent(e, f)
-    assert store.get_isomorphism(e, f) is None
+    # no Pauli isomorphism maps one onto the other
+    iso = pl.mul(f.label, pl.inverse(e.label))
+    assert not np.allclose(
+        apply_lim_dense(iso, store.to_dense(e)), store.to_dense(f), atol=1e-9
+    )
 
 
 def scaled_from_dense(store, vec, rng):
@@ -484,6 +486,67 @@ def test_get_labels_minimizes_eligible_set():
                 assert_lim_close(e.target.high.label, bh, tol=1e-12)
 
 
+def test_get_labels_trivial_groups_reproduce_the_state():
+    # generic states have the trivial stabilizer group {I}
+    rng = np.random.default_rng(73)
+    seen = {True: 0, False: 0}
+    for n in (1, 2, 3):
+        store = DiagramStore()
+        nodes = [edge_from_dense(store, random_vec(rng, n)).target for _ in range(4)]
+        assert not any(store.get_stabilizer_gen_set(v).gens for v in nodes)
+        for _ in range(40):
+            v0 = nodes[int(rng.integers(0, 4))]
+            v1 = v0 if rng.integers(0, 2) else nodes[int(rng.integers(0, 4))]
+            seen[v0 is v1] += 1
+            a_hat = random_pauli(rng, n, scalar_pool=(1.0, -1.0, 1j, 0.5, 2.0, 0.3 - 0.7j))
+            best, b_root = store.get_labels(a_hat, v0, v1)
+            d0 = store.to_dense(Edge(pl.identity(n), v0))
+            d1 = store.to_dense(Edge(pl.identity(n), v1))
+            got = apply_lim_dense(b_root, np.concatenate([d0, apply_lim_dense(best, d1)]))
+            want = np.concatenate([d0, apply_lim_dense(a_hat, d1)])
+            np.testing.assert_allclose(got, want, atol=1e-9)
+            p_unit = pl.PauliLim(n, a_hat.x, a_hat.z, 1.0)
+            lams = (a_hat.scalar, 1.0 / a_hat.scalar) if v0 is v1 else (a_hat.scalar,)
+            cands = [pl.scale(sgn * lam, p_unit) for lam in lams for sgn in (1.0, -1.0)]
+            assert_lim_close(best, lex_smallest(cands), tol=1e-12)
+    assert seen[True] and seen[False]
+    assert not store._pair_memo
+
+
+def test_arg_lex_min_on_trivial_groups_is_the_label():
+    rng = np.random.default_rng(79)
+    store = DiagramStore()
+    for n in (1, 2, 3):
+        empty = store.empty_set(n)
+        a = random_pauli(rng, n, scalar_pool=(1.0, -1j, 0.5, 2.0 + 1j))
+        w0, w1, val = store.arg_lex_min(empty, empty, a)
+        assert w0 == pl.identity(n) and w1 == pl.identity(n) and val == a
+    assert not store._pair_memo
+
+
+def test_qmdd_build_never_touches_the_stabilizer_layer(monkeypatch):
+    import limdd.diagram as diagram_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gf2_eliminate called on a trivial-group store")
+
+    monkeypatch.setattr(diagram_mod, "gf2_eliminate", forbidden)
+    monkeypatch.setattr(pl, "gf2_eliminate", forbidden)
+    rng = np.random.default_rng(83)
+    n = 5
+    eng = Engine(n, mode="qmdd")
+    for _ in range(40):
+        if rng.random() < 0.4:
+            c, t = (int(q) + 1 for q in rng.choice(n, size=2, replace=False))
+            eng.run_gate(("cx", "cz")[int(rng.integers(0, 2))], c, t)
+        else:
+            name = ("h", "s", "t", "tdg")[int(rng.integers(0, 4))]
+            eng.run_gate(name, int(rng.integers(1, n + 1)))
+    eng.sample(np.random.default_rng(1))
+    assert eng.stats.apply_calls and eng.stats.add_calls
+    assert not eng.store._pair_memo
+
+
 def test_get_labels_known_cases():
     store = DiagramStore()
     v_plus = edge_from_dense(store, np.array([1.0, 1.0]) / math.sqrt(2)).target
@@ -523,19 +586,6 @@ def test_root_label_known_case():
         store.root_label(Edge(pl.zero(1), v0))
 
 
-def test_get_isomorphism_cases():
-    store = DiagramStore()
-    e = edge_from_dense(store, np.array([1.0, 0.5, 0.25, 1.0]))
-    v = e.target
-    iso = store.get_isomorphism(
-        Edge(pl.single(2, 1, "X", 2.0), v), Edge(pl.single(2, 1, "X"), v)
-    )
-    assert iso.is_identity_string() and abs(iso.scalar - 0.5) < 1e-12
-    assert store.get_isomorphism(Edge(pl.zero(2), v), Edge(pl.identity(2), v)) is None
-    with pytest.raises(DiagramError):
-        store.get_isomorphism(Edge(pl.zero(2), v), Edge(pl.zero(2), v))
-
-
 # ---------------------------------------------------------------------------
 # scalar-keyed table
 
@@ -562,6 +612,25 @@ def test_scalar_table_phase_wraparound():
     c_hi = complex(np.exp(1j * 1e-13))
     t.put(("k",), c_lo, "a")
     assert t.get(("k",), c_hi) == "a"
+
+
+def test_scalar_table_small_magnitude():
+    # phases 5e-9 apart, yet only 5e-13 apart in value: within the tolerance
+    t = ScalarKeyedTable()
+    s = 1e-4 + 0j
+    t.put(("k",), s, "a")
+    assert t.get(("k",), s * complex(np.exp(5e-9j))) == "a"
+    assert t.get(("k",), s + 2e-12) is None
+
+
+def test_scalar_table_large_magnitude():
+    # the tolerance 1e-12 * |s| = 1e-8 spans ten cells each way
+    t = ScalarKeyedTable()
+    s = 1e4 * complex(np.exp(0.3j))
+    t.put(("k",), s, "a")
+    for d in (7e-9, -7e-9j, 6e-9 + 6e-9j, -6e-9 - 6e-9j):
+        assert t.get(("k",), s + d) == "a"
+    assert t.get(("k",), s + 2e-8) is None
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -333,6 +334,39 @@ def test_sample_ghz_balance():
     assert abs(seen["00"] - shots / 2) <= 5 * math.sqrt(shots) / 2
 
 
+def test_sample_creates_no_nodes_and_stays_in_the_support():
+    rng = np.random.default_rng(32)
+    for mode in ("limdd", "qmdd"):
+        for _ in range(6):
+            n = int(rng.integers(1, 7))
+            eng = Engine(n, mode=mode)
+            for name, qs in random_ops(rng, n, 4 * n):
+                eng.run_gate(name, *qs)
+            probs = np.abs(eng.to_dense()) ** 2
+            before = eng.store.node_count()
+            for _ in range(50):
+                assert probs[int(eng.sample(rng), 2)] > 1e-12
+            assert eng.store.node_count() == before
+
+
+def test_sample_frequencies_match_amplitudes():
+    rng = np.random.default_rng(34)
+    n = 3
+    eng = Engine(n)
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    vec[2] = 0.0
+    e = edge_from_dense(eng.store, vec)
+    probs = np.abs(vec) ** 2 / np.sum(np.abs(vec) ** 2)
+    shots = 4000
+    counts = np.zeros(1 << n)
+    for _ in range(shots):
+        counts[int(eng.sample(rng, e), 2)] += 1
+    # each count within 5 sigma of its binomial mean; an empty outcome never
+    sigma = np.sqrt(shots * probs * (1 - probs))
+    assert np.all(np.abs(counts - shots * probs) <= 5 * sigma)
+    assert counts[2] == 0
+
+
 def test_prob_of_string_matches_amplitudes():
     rng = np.random.default_rng(31)
     for _ in range(6):
@@ -567,6 +601,23 @@ def test_gate_past_the_recursion_limit_is_an_engine_error():
     with pytest.raises(EngineError, match="600 qubits"):
         eng.run_gate("h", 1)
     assert eng.root is root
+
+
+def test_measurement_past_the_recursion_limit():
+    # sampling walks down without recursing; the projections still recurse
+    # and report the limit as an EngineError
+    eng = Engine(1000)
+    eng.run_gate("h", 1000)
+    eng.run_gate("x", 1)
+    rng = random.Random(1)
+    shots = {eng.sample(rng) for _ in range(8)}
+    assert shots == {"0" + "0" * 998 + "1", "1" + "0" * 998 + "1"}
+    with pytest.raises(EngineError, match="1000 qubits"):
+        eng.measurement_probability(eng.root, 1, 1)
+    with pytest.raises(EngineError, match="1000 qubits"):
+        eng.update_post_meas(eng.root, 1, 1)
+    with pytest.raises(EngineError, match="1000 qubits"):
+        eng.prob_of_string(eng.root, "0" * 999 + "1")
 
 
 def test_stats_output_shape():
