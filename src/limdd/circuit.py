@@ -256,20 +256,15 @@ def run(config: RunConfig, circuit: Circuit) -> dict:
 
 
 def _one_shot(eng, vec, measured, n, rng) -> str:
+    """Draw a full basis string (qubit 0 first) and keep the measured
+    positions."""
     if vec is not None:
         probs = np.abs(vec) ** 2
         probs = probs / probs.sum()
         full = format(int(rng.choice(probs.size, p=probs)), f"0{n}b")
-        return "".join(full[q] for q in measured)
-    cur = eng.root
-    bits = []
-    for q in measured:
-        k = n - q
-        p0 = eng.measurement_probability(cur, k, 0)
-        b = 0 if rng.random() < p0 else 1
-        bits.append(str(b))
-        cur = eng.update_post_meas(cur, k, b)
-    return "".join(bits)
+    else:
+        full = eng.sample(rng)
+    return "".join(full[q] for q in measured)
 
 
 def _stats_dict(eng: Optional[Engine], circuit: Circuit) -> dict:

@@ -156,7 +156,8 @@ class DiagramStore:
     the node order used by the low-precedence rule.
 
     Two memos serve the stabilizer machinery: ``_stab`` holds each node's
-    reduced stabilizer generators by node id, and ``_pair_memo`` holds the
+    reduced stabilizer generators by node id (a "pauli" store only; an
+    identity-group store keeps just the leaf's), and ``_pair_memo`` holds the
     pair record of ``_pair`` (reduced union rows, an opposite element and
     the intersection) by the content of the two groups.
 
@@ -186,12 +187,6 @@ class DiagramStore:
     def node_count(self) -> int:
         """Nodes above the leaf."""
         return len(self.nodes) - 1
-
-    def level_widths(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for v in self.nodes[1:]:
-            out[v.index] = out.get(v.index, 0) + 1
-        return out
 
     def reachable_count(self, e: Edge) -> int:
         """Nodes above the leaf reachable from ``e``."""
@@ -377,15 +372,15 @@ class DiagramStore:
         return None
 
     def get_stabilizer_gen_set(self, v: Node) -> GeneratorSet:
-        """Generators of the Pauli stabilizer subgroup of |v>, cached per node."""
+        """Generators of the Pauli stabilizer subgroup of |v>, cached per
+        node.  In an identity-group store every group is {I}, returned
+        without a cache entry."""
+        if self.group == "identity":
+            return self.empty_set(v.index)
         got = self._stab.get(v.nid)
         if got is not None:
             return got
         m = v.index
-        if self.group == "identity":
-            res = self.empty_set(m)
-            self._stab[v.nid] = res
-            return res
         if m == 1:
             res = self._stab_level_one(v)
         else:
@@ -498,7 +493,6 @@ class DiagramStore:
                         m + 1, Edge(zero(m), v1), Edge(identity(m), v1)
                     )
                     self._zero_low[v1.nid] = node
-                    self.get_stabilizer_gen_set(node)
                 return Edge(tensor_top("I", b), node)
         elif is_zero(a) or (not is_zero(b) and v0.nid > v1.nid):
             res = self.make_edge(e1, e0)

@@ -19,11 +19,15 @@ structural updates write Pauli factors onto labels.  Its nodes all have the
 trivial stabilizer group, so its cache keys are the labels themselves and
 it never runs a stabilizer elimination (see ``DiagramStore``).
 
-Sampling walks one path down from the root, weighting each branch by its
-squared norm; it creates no nodes and does not recurse.  The projections
-behind ``measurement_probability`` and ``update_post_meas`` recurse once
-per level, as the gate routes do, and report the recursion limit as an
-``EngineError``.
+Every structural route, the projections behind upward CX and multi-
+controlled X included, is one ``_descend`` that recurses once per level;
+a run out of recursion depth is reported as an ``EngineError``.
+
+Measurement has two entry points.  ``sample`` draws a full basis string by
+walking one path down from the root, weighting each branch by its squared
+norm; it creates no nodes and does not recurse.  ``measurement_probability``
+gives one qubit's outcome probability from a per-node dynamic program over
+squared norms, without building a projection.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -88,19 +92,7 @@ class EngineStats:
     peak_nodes: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "gate_count": self.gate_count,
-            "apply_calls": self.apply_calls,
-            "add_calls": self.add_calls,
-            "apply_cache_hits": self.apply_cache_hits,
-            "apply_cache_misses": self.apply_cache_misses,
-            "add_cache_hits": self.add_cache_hits,
-            "add_cache_misses": self.add_cache_misses,
-            "peak_nodes": self.peak_nodes,
-        }
-
-    def as_text(self) -> str:
-        return "\n".join(f"{k}={v}" for k, v in self.as_dict().items())
+        return asdict(self)
 
 
 def _phase_quarter(s: complex) -> int:
@@ -115,6 +107,13 @@ def _phase_step(lbl: PauliLim, op: tuple) -> tuple:
         w, conj = _PHASE_GATES[name]
         return scale(w, lbl), (conj, k)
     return lbl, op
+
+
+def _proj_step(lbl: PauliLim, op: tuple) -> tuple:
+    """Projector onto qubit k = b past the label P: it becomes the projector
+    onto k = 1 - b when P_k is X or Y."""
+    _, k, b = op
+    return lbl, ("proj", k, b ^ ((lbl.x >> (k - 1)) & 1))
 
 
 def _conj_step(circ):
@@ -155,7 +154,6 @@ class Engine:
         self._unary_cache: dict = {}
         self._norm_cache: dict[int, float] = {}
         self._snp_cache: dict = {}
-        self._proj_cache: dict = {}
         self._gate_dd_cache: dict = {}
         self.set_root(e)
 
@@ -281,37 +279,6 @@ class Engine:
         self._gate_dd_cache[key] = res
         return res
 
-    def dense_gate_to_dd(self, qubits: Sequence[int], matrix: np.ndarray) -> Edge:
-        """Gate diagram from a dense 2^k x 2^k matrix, k <= 3.  Row bits
-        follow the order of ``qubits`` (first = most significant)."""
-        qubits = tuple(int(q) for q in qubits)
-        self._check_qubits(qubits)
-        if len(qubits) > 3:
-            raise EngineError("dense gates limited to 3 qubits")
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (1 << len(qubits), 1 << len(qubits)):
-            raise EngineError("matrix size does not match qubit count")
-        key = ("dense", qubits, mat.tobytes())
-        got = self._gate_dd_cache.get(key)
-        if got is not None:
-            return got
-        order = sorted(range(len(qubits)), key=lambda i: -qubits[i])
-        k = len(qubits)
-        perm = np.zeros(1 << k, dtype=int)
-        for idx in range(1 << k):
-            out = 0
-            for pos, i in enumerate(order):
-                bit = (idx >> (k - 1 - i)) & 1
-                out |= bit << (k - 1 - pos)
-            perm[idx] = out
-        ordered = np.zeros_like(mat)
-        for r in range(1 << k):
-            for c in range(1 << k):
-                ordered[perm[r], perm[c]] = mat[r, c]
-        res = self._build_gate_dd(tuple(qubits[i] for i in order), ordered)
-        self._gate_dd_cache[key] = res
-        return res
-
     def _controlled_matrix(self, c: int, t: int, letter: str):
         if c == t:
             raise EngineError("control and target must differ")
@@ -392,7 +359,9 @@ class Engine:
 
         ``step(label, op)`` returns ``(label', op')`` with op . label =
         label' . op', so op' is the gate the subtree sees; ``at_node(v, op)``
-        applies the gate at a node of its level.  Cached per (gate, node)."""
+        applies the gate at a node of its level.  Cached per (gate, node).
+        Only a projection can map both children to zero; the node's result
+        is then the zero edge."""
         if is_zero(e.label):
             return e
         lbl, op = step(e.label, op)
@@ -405,7 +374,10 @@ class Engine:
             else:
                 lo = self._descend(v.low, level, op, step, at_node)
                 hi = self._descend(v.high, level, op, step, at_node)
-                res = self.store.make_edge(lo, hi)
+                if is_zero(lo.label) and is_zero(hi.label):
+                    res = Edge(zero(v.index), v)
+                else:
+                    res = self.store.make_edge(lo, hi)
             self._unary_cache[key] = res
         return Edge(mul(lbl, res.label), res.target)
 
@@ -483,6 +455,20 @@ class Engine:
         flipped = Edge(mul(single(self.n, t, "X"), proj.label), proj.target)
         return self.add(self.add(e, scale_edge(-1.0, proj)), flipped)
 
+    def _project(self, e: Edge, k: int, b: int) -> Edge:
+        """(possibly zero) edge for the projection of |e> onto qubit k = b."""
+
+        def at_node(v, op):
+            kept = v.high if op[2] else v.low
+            if is_zero(kept.label):
+                return Edge(zero(k), v)
+            dropped = Edge(zero(k - 1), kept.target)
+            if op[2]:
+                return self.store.make_edge(dropped, kept)
+            return self.store.make_edge(kept, dropped)
+
+        return self._descend(e, k, ("proj", k, b), _proj_step, at_node)
+
     def _require_pauli_mode(self) -> None:
         if self.store.group != "pauli":
             raise EngineError(
@@ -540,6 +526,7 @@ class Engine:
         return got
 
     def measurement_probability(self, e: Edge, k: int, y: int) -> float:
+        """Probability that qubit k of |e> reads y; builds no node."""
         if not 1 <= k <= e.target.index:
             raise EngineError(f"qubit {k} out of range")
         norm = self.squared_norm(e)
@@ -550,55 +537,6 @@ class Engine:
         except RecursionError:
             raise self._too_deep("measurement_probability") from None
         return min(max(p, 0.0), 1.0)
-
-    def _project(self, e: Edge, k: int, b: int) -> Edge:
-        """(possibly zero) edge for the projection of |e> onto qubit k = b."""
-        if is_zero(e.label):
-            return e
-        bp = b ^ ((e.label.x >> (k - 1)) & 1)
-        res = self._project_node(e.target, k, bp)
-        return Edge(mul(e.label, res.label), res.target)
-
-    def _project_node(self, v, k: int, b: int) -> Edge:
-        key = (v.nid, k, b)
-        got = self._proj_cache.get(key)
-        if got is not None:
-            return got
-        if v.index == k:
-            kept = v.low if b == 0 else v.high
-            if is_zero(kept.label):
-                res = Edge(zero(k), v)
-            elif b == 0:
-                res = self.store.make_edge(
-                    v.low, Edge(zero(k - 1), v.low.target)
-                )
-            else:
-                res = self.store.make_edge(
-                    Edge(zero(k - 1), v.high.target), v.high
-                )
-        else:
-            lo = self._project(v.low, k, b)
-            hi = self._project(v.high, k, b)
-            if is_zero(lo.label) and is_zero(hi.label):
-                res = Edge(zero(v.index), v)
-            else:
-                res = self.store.make_edge(lo, hi)
-        self._proj_cache[key] = res
-        return res
-
-    def update_post_meas(self, e: Edge, k: int, b: int) -> Edge:
-        """Unnormalized state after observing qubit k = b."""
-        if is_zero(e.label):
-            raise EngineError("cannot measure the zero state")
-        if not 1 <= k <= e.target.index:
-            raise EngineError(f"qubit {k} out of range")
-        try:
-            res = self._project(e, k, b)
-        except RecursionError:
-            raise self._too_deep("update_post_meas") from None
-        if is_zero(res.label):
-            raise EngineError(f"outcome {b} on qubit {k} has probability zero")
-        return res
 
     def sample(self, rng, e: Optional[Edge] = None) -> str:
         """One full measurement in the computational basis; leftmost bit is
@@ -624,21 +562,6 @@ class Engine:
             bits.append("0" if nxt is low else "1")
             cur = nxt
         return "".join(bits)
-
-    def prob_of_string(self, e: Edge, bits) -> float:
-        seq = [int(b) for b in bits]
-        if len(seq) != e.target.index:
-            raise EngineError("bit count must match the level")
-        cur = e
-        prob = 1.0
-        for i, b in enumerate(seq):
-            k = e.target.index - i
-            p = self.measurement_probability(cur, k, b)
-            if p == 0.0:
-                return 0.0
-            prob *= p
-            cur = self.update_post_meas(cur, k, b)
-        return prob
 
     # -- top-level driver ---------------------------------------------------
 
@@ -690,8 +613,8 @@ class Engine:
         self.set_root(e)
 
     def _too_deep(self, name: str) -> EngineError:
-        # the descents and projections recurse once per level, so the
-        # interpreter's recursion limit caps the qubit count they reach
+        # the descents, Add, Apply and the probability DP recurse once per
+        # level, so the interpreter's recursion limit caps the qubit count
         return EngineError(
             f"{name} on {self.n} qubits ({self.mode} mode) exceeds the "
             f"recursion limit of {sys.getrecursionlimit()}; the diagram "

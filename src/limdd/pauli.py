@@ -169,10 +169,6 @@ def pauli_conjugate(a: PauliLim, g: PauliLim) -> PauliLim:
     return PauliLim(g.n, g.x, g.z, sign * g.scalar)
 
 
-def commutes(a: PauliLim, b: PauliLim) -> bool:
-    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
-
-
 def tensor_top(letter: str, a: Lim, extra_scalar: complex = 1.0) -> Lim:
     """(letter (x) a) on n+1 qubits, optionally scaled; the new qubit is the top."""
     if isinstance(a, ZeroLim):

@@ -173,6 +173,39 @@ def test_run_measure_subset():
     assert set(report["counts"]) <= {"0", "1"}
 
 
+def test_repeated_measure_reports_equal_bits():
+    c = parse_circuit(BELL + "measure 0\nmeasure 0\nmeasure 1\n")
+    for mode in ("limdd", "qmdd", "dense"):
+        report = run(RunConfig(mode=mode, shots=100, seed=5), c)
+        assert report["measured"] == [0, 0, 1]
+        assert set(report["counts"]) == {"000", "111"}
+
+
+def test_shots_are_engine_sample_draws():
+    # under measure_all the counts are the seeded Engine.sample draws
+    rng = np.random.default_rng(41)
+    n = 5
+    lines = [f"qubits {n}"]
+    for _ in range(30):
+        if rng.random() < 0.4:
+            a, b = rng.choice(n, size=2, replace=False)
+            lines.append(f"{('cx', 'cz')[int(rng.integers(0, 2))]} {a} {b}")
+        else:
+            name = ("h", "s", "t", "tdg")[int(rng.integers(0, 4))]
+            lines.append(f"{name} {int(rng.integers(0, n))}")
+    c = parse_circuit("\n".join(lines) + "\nmeasure_all\n")
+    for mode in ("limdd", "qmdd"):
+        report = run(RunConfig(mode=mode, shots=300, seed=9), c)
+        eng = build_engine(c, mode)
+        draws = np.random.default_rng(9)
+        want: dict = {}
+        for _ in range(300):
+            bits = eng.sample(draws)
+            want[bits] = want.get(bits, 0) + 1
+        assert len(want) > 1
+        assert report["counts"] == want
+
+
 def test_run_stats_cluster_separation():
     from limdd.states import cluster_state
 
@@ -268,6 +301,18 @@ def test_cli_recursion_limit_is_one_line_error(tmp_path):
     assert res.exit_code == 1
     assert res.output.startswith("error: h on 600 qubits")
     assert res.output.count("\n") == 1
+
+
+def test_cli_shots_past_the_recursion_limit(tmp_path):
+    # --shots walks Engine.sample, which does not recurse
+    path = tmp_path / "deep.qc"
+    path.write_text("qubits 600\nh 0\nx 599\n")
+    res = CliRunner().invoke(cli_main, ["run", str(path), "--shots", "2", "--json"])
+    assert res.exit_code == 0
+    counts = json.loads(res.output)["counts"]
+    assert sum(counts.values()) == 2
+    for bits in counts:
+        assert len(bits) == 600 and bits[1:] == "0" * 598 + "1"
 
 
 def test_cli_compare_failure_exit_code(tmp_path, monkeypatch):

@@ -545,6 +545,8 @@ def test_qmdd_build_never_touches_the_stabilizer_layer(monkeypatch):
     eng.sample(np.random.default_rng(1))
     assert eng.stats.apply_calls and eng.stats.add_calls
     assert not eng.store._pair_memo
+    # identity-group stores cache no stabilizer group beyond the leaf's
+    assert list(eng.store._stab) == [0]
 
 
 def test_get_labels_known_cases():
@@ -708,11 +710,3 @@ def test_to_dot_smoke():
     assert "rank=same" in dot
     assert "style=dashed" in dot and "style=solid" in dot
     assert "XX" in dot
-
-
-def test_level_widths():
-    store = DiagramStore()
-    vec = np.zeros(8, dtype=complex)
-    vec[0] = vec[7] = 1 / math.sqrt(2)
-    edge_from_dense(store, vec)
-    assert store.level_widths() == {1: 1, 2: 1, 3: 1}

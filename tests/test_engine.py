@@ -276,11 +276,12 @@ def test_probabilities_sum_to_one():
 
 
 def test_update_post_meas_ghz():
+    # the post-measurement state is the projection Engine._project builds
     eng = ghz_engine(3)
-    zeros = eng.update_post_meas(eng.root, 3, 0)
+    zeros = eng._project(eng.root, 3, 0)
     vec = eng.store.to_dense(zeros)
     assert abs(vec[0]) > 0 and not np.any(np.abs(vec[1:]) > 1e-12)
-    ones = eng.update_post_meas(eng.root, 3, 1)
+    ones = eng._project(eng.root, 3, 1)
     vec = eng.store.to_dense(ones)
     assert abs(vec[-1]) > 0 and not np.any(np.abs(vec[:-1]) > 1e-12)
 
@@ -294,16 +295,10 @@ def test_update_post_meas_follows_label_flips():
         eng.run_gate(name, *qs)
     e = eng.root
     flipped = eng.apply_pauli(e, pl.single(n, 2, "X"))
-    a = eng.store.to_dense(eng.update_post_meas(flipped, 2, 0))
-    b = eng.store.to_dense(eng.update_post_meas(e, 2, 1))
+    a = eng.store.to_dense(eng._project(flipped, 2, 0))
+    b = eng.store.to_dense(eng._project(e, 2, 1))
     want = op_on_qubit(n, 2, X2) @ b
     assert np.allclose(a, want, atol=1e-10)
-
-
-def test_update_post_meas_zero_probability_raises():
-    eng = Engine(2)
-    with pytest.raises(EngineError):
-        eng.update_post_meas(eng.root, 1, 1)
 
 
 def test_sample_deterministic_state():
@@ -368,29 +363,24 @@ def test_sample_frequencies_match_amplitudes():
 
 
 def test_prob_of_string_matches_amplitudes():
+    # per-qubit outcome probabilities are the marginals of the dense state
     rng = np.random.default_rng(31)
     for _ in range(6):
         n = int(rng.integers(1, 5))
         eng = Engine(n)
         for name, qs in random_ops(rng, n, 15):
             eng.run_gate(name, *qs)
-        norm = eng.squared_norm(eng.root)
-        total = 0.0
-        for idx in range(1 << n):
-            bits = format(idx, f"0{n}b")
-            p = eng.prob_of_string(eng.root, bits)
-            total += p
-            assert p == pytest.approx(
-                abs(eng.amplitude(bits)) ** 2 / norm, abs=1e-9
-            )
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-
-def test_prob_of_string_w_state():
-    eng = Engine(4)
-    e = w_state_edge(eng, 4)
-    assert eng.prob_of_string(e, "0100") == pytest.approx(0.25)
-    assert eng.prob_of_string(e, "1100") == pytest.approx(0.0, abs=1e-12)
+        probs = np.abs(eng.to_dense()) ** 2
+        probs /= probs.sum()
+        idx = np.arange(1 << n)
+        for k in range(1, n + 1):
+            total = 0.0
+            for y in (0, 1):
+                p = eng.measurement_probability(eng.root, k, y)
+                total += p
+                want = probs[((idx >> (k - 1)) & 1) == y].sum()
+                assert p == pytest.approx(want, abs=1e-9)
+            assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_apply_pauli_changes_only_root_label():
@@ -526,29 +516,6 @@ def test_gate_to_dd_embeds_in_wider_registers():
     assert np.allclose(gate_matrix(eng, u, 4), cz_matrix(4, 3, 1), atol=1e-12)
 
 
-def test_dense_gate_to_dd_toffoli():
-    eng = Engine(3)
-    toff = np.eye(8, dtype=complex)
-    toff[[6, 7]] = toff[[7, 6]]
-    u = eng.dense_gate_to_dd((3, 2, 1), toff)
-    got = eng.apply_gate(u, edge_from_dense(eng.store, np.ones(8) / math.sqrt(8)))
-    want = toff @ (np.ones(8) / math.sqrt(8))
-    assert np.allclose(eng.store.to_dense(got), want, atol=1e-10)
-    # qubit order permutation: controls on 1, 2, target 3
-    u2 = eng.dense_gate_to_dd((1, 2, 3), toff)
-    state = np.zeros(8, dtype=complex)
-    state[0b011] = 1.0   # controls (qubits 1, 2) set
-    got2 = eng.apply_gate(u2, edge_from_dense(eng.store, state))
-    vec = eng.store.to_dense(got2)
-    assert vec[0b111] == pytest.approx(1.0)
-
-
-def test_dense_gate_rejects_wide_matrices():
-    eng = Engine(4)
-    with pytest.raises(EngineError):
-        eng.dense_gate_to_dd((1, 2, 3, 4), np.eye(16, dtype=complex))
-
-
 def test_mcx_matches_dense():
     rng = np.random.default_rng(33)
     for _ in range(12):
@@ -604,8 +571,8 @@ def test_gate_past_the_recursion_limit_is_an_engine_error():
 
 
 def test_measurement_past_the_recursion_limit():
-    # sampling walks down without recursing; the projections still recurse
-    # and report the limit as an EngineError
+    # sampling walks down without recursing; the per-qubit probability
+    # recurses and reports the limit as an EngineError
     eng = Engine(1000)
     eng.run_gate("h", 1000)
     eng.run_gate("x", 1)
@@ -614,10 +581,6 @@ def test_measurement_past_the_recursion_limit():
     assert shots == {"0" + "0" * 998 + "1", "1" + "0" * 998 + "1"}
     with pytest.raises(EngineError, match="1000 qubits"):
         eng.measurement_probability(eng.root, 1, 1)
-    with pytest.raises(EngineError, match="1000 qubits"):
-        eng.update_post_meas(eng.root, 1, 1)
-    with pytest.raises(EngineError, match="1000 qubits"):
-        eng.prob_of_string(eng.root, "0" * 999 + "1")
 
 
 def test_stats_output_shape():
@@ -625,6 +588,3 @@ def test_stats_output_shape():
     d = eng.stats.as_dict()
     assert d["gate_count"] == 3
     assert d["peak_nodes"] >= 3
-    text = eng.stats.as_text()
-    for key in d:
-        assert any(line.startswith(key + "=") for line in text.splitlines())
