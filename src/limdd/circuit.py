@@ -231,8 +231,8 @@ def run(config: RunConfig, circuit: Circuit) -> dict:
         rng = np.random.default_rng(config.seed)
         measured = measured_qubits(circuit) or list(range(circuit.n))
         counts: dict = {}
-        for _ in range(config.shots):
-            key = _one_shot(eng, vec, measured, circuit.n, rng)
+        for full in _draw_shots(eng, vec, config.shots, circuit.n, rng):
+            key = "".join(full[q] for q in measured)
             counts[key] = counts.get(key, 0) + 1
         report["measured"] = measured
         report["counts"] = dict(sorted(counts.items()))
@@ -255,16 +255,15 @@ def run(config: RunConfig, circuit: Circuit) -> dict:
     return report
 
 
-def _one_shot(eng, vec, measured, n, rng) -> str:
-    """Draw a full basis string (qubit 0 first) and keep the measured
-    positions."""
-    if vec is not None:
-        probs = np.abs(vec) ** 2
-        probs = probs / probs.sum()
-        full = format(int(rng.choice(probs.size, p=probs)), f"0{n}b")
-    else:
-        full = eng.sample(rng)
-    return "".join(full[q] for q in measured)
+def _draw_shots(eng, vec, shots, n, rng):
+    """Full basis strings (qubit 0 first), one per shot.  A dense vector's
+    distribution is built once and all shots come from one ``rng.choice``,
+    which draws the same outcomes as one call per shot."""
+    if vec is None:
+        return (eng.sample(rng) for _ in range(shots))
+    probs = np.abs(vec) ** 2
+    draws = rng.choice(probs.size, size=shots, p=probs / probs.sum())
+    return (format(int(i), f"0{n}b") for i in draws)
 
 
 def _stats_dict(eng: Optional[Engine], circuit: Circuit) -> dict:

@@ -47,6 +47,7 @@ from .pauli import (
     pauli_conjugate,
     rref,
     rref_insert,
+    scalar_cmp,
     scale,
     single,
     strip_top,
@@ -458,20 +459,21 @@ class DiagramStore:
             m = mul(mul(w0, p_unit), w1)
         else:
             w0, m = identity(a_hat.n), p_unit
+        # every candidate carries m's string, so only the scalars compete
         best = None
         choice = (0, 0)
         xs_options = ((0, 0), (0, 1), (1, 0), (1, 1)) if v0 is v1 else ((0, 0), (0, 1))
         for x, s in xs_options:
             lam_x = lam if x == 0 else 1.0 / lam
-            cand = scale(-lam_x if s else lam_x, m)
-            if best is None or lex_cmp(cand, best) < 0:
+            cand = (-lam_x if s else lam_x) * m.scalar
+            if best is None or scalar_cmp(cand, best) < 0:
                 best = cand
                 choice = (x, s)
         x, s = choice
         b_root = tensor_top("Z" if s else "I", inverse(w0))
         if x:
             b_root = mul(tensor_top("X", a_hat), b_root)
-        return best, b_root
+        return PauliLim(m.n, m.x, m.z, best), b_root
 
     def make_edge(self, e0: Edge, e1: Edge) -> Edge:
         """The canonical edge for |0>|e0> + |1>|e1>; the single way nodes enter

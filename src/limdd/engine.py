@@ -7,7 +7,12 @@ In "limdd" mode every gate takes a structural route:
 
   * Pauli gates multiply the root label,
   * Hadamard, downward controlled Pauli and upward CX gates are pushed to
-    their level by conjugating edge labels with the gate's circuit,
+    their level by conjugating edge labels with the gate's circuit.  There
+    H forms the sum and the difference of a node's children in one
+    butterfly descent (``_butterfly``), and upward CX takes branch 0 of one
+    child and branch 1 of the other at the control level in one
+    cross-select descent (``_cross``).  Neither runs an Add, and the
+    cross-select builds a projection only where one of its terms is zero,
   * diagonal phase gates (S, S†, T, T†) are pushed to their level by
     commuting them past edge labels, which flips the gate to its conjugate
     under an X or Y factor on its qubit,
@@ -19,9 +24,12 @@ structural updates write Pauli factors onto labels.  Its nodes all have the
 trivial stabilizer group, so its cache keys are the labels themselves and
 it never runs a stabilizer elimination (see ``DiagramStore``).
 
-Every structural route, the projections behind upward CX and multi-
-controlled X included, is one ``_descend`` that recurses once per level;
-a run out of recursion depth is reported as an ``EngineError``.
+Add, the butterfly and the cross-select share one computed table, keyed by
+both targets and the root label of the first label's inverse times the
+second.  Every structural route, the projections behind multi-controlled X
+included, is one ``_descend`` that recurses once per level, as do the
+two-operand descents; a run out of recursion depth is reported as an
+``EngineError``.
 
 Measurement has two entry points.  ``sample`` draws a full basis string by
 walking one path down from the root, weighting each branch by its squared
@@ -82,6 +90,11 @@ class EngineError(Exception):
 
 @dataclass
 class EngineStats:
+    """Gate and cache counters.  A butterfly (Hadamard's sum and difference
+    in one descent) counts as two Adds in ``add_calls`` and in the hit or
+    miss count, the two Adds it stands for; the cross-select of upward CX
+    counts in no Add counter."""
+
     gate_count: int = 0
     apply_calls: int = 0
     add_calls: int = 0
@@ -154,6 +167,7 @@ class Engine:
         self._unary_cache: dict = {}
         self._norm_cache: dict[int, float] = {}
         self._snp_cache: dict = {}
+        self._reach_cache: dict = {}
         self._gate_dd_cache: dict = {}
         self.set_root(e)
 
@@ -170,36 +184,141 @@ class Engine:
         if f.target.index != lvl:
             raise EngineError("add needs equal levels")
         if lvl == 0:
-            s = e.label.scalar + f.label.scalar
-            if abs(s) <= EPS_EQ * max(1.0, abs(e.label.scalar), abs(f.label.scalar)):
-                return Edge(zero(0), self.store.leaf)
-            return Edge(PauliLim(0, 0, 0, s), self.store.leaf)
+            return self._leaf_sum(e.label.scalar, f.label.scalar)
         if e.target.nid > f.target.nid:
             e, f = f, e
-        key_lim = None
+        key = None
         if self.use_caches:
-            key_lim = self.store.root_label(
-                Edge(mul(inverse(e.label), f.label), f.target)
-            )
-            disc = (e.target.nid, f.target.nid, key_lim.x, key_lim.z)
-            got = self._add_cache.get(disc, key_lim.scalar)
+            key = self._pair_key("+", e, f)
+            got = self._add_cache.get(*key)
             if got is not None:
                 self.stats.add_cache_hits += 1
                 return Edge(mul(e.label, got.label), got.target)
         self.stats.add_cache_misses += 1
         a0 = self.add(self.store.follow(e, 0), self.store.follow(f, 0))
         a1 = self.add(self.store.follow(e, 1), self.store.follow(f, 1))
-        if is_zero(a0.label) and is_zero(a1.label):
-            res = Edge(zero(lvl), e.target)
-        else:
-            res = self.store.make_edge(a0, a1)
-        if key_lim is not None:
-            self._add_cache.put(
-                disc,
-                key_lim.scalar,
-                Edge(mul(inverse(e.label), res.label), res.target),
-            )
+        res = self._node(a0, a1, e.target)
+        if key is not None:
+            self._add_cache.put(*key, Edge(mul(inverse(e.label), res.label), res.target))
         return res
+
+    def _butterfly(self, e: Edge, f: Edge) -> tuple[Edge, Edge]:
+        """(|e> + |f>, |e> - |f>) at one level in one descent: each level
+        follows both operands once and recurses on the child pairs.
+
+        The entry of (e, f) is keyed as ``add`` keys it; a key scalar in the
+        lower half-plane is folded onto (e, -f), whose sum and difference
+        are the same pair swapped, so both signs share one entry.  A call
+        counts as two Adds in ``add_calls`` and in the hit or miss count."""
+        st = self.stats
+        st.add_calls += 2
+        if is_zero(e.label):
+            return f, scale_edge(-1.0, f)
+        if is_zero(f.label):
+            return e, e
+        lvl = e.target.index
+        if f.target.index != lvl:
+            raise EngineError("butterfly needs equal levels")
+        if lvl == 0:
+            a, b = e.label.scalar, f.label.scalar
+            return self._leaf_sum(a, b), self._leaf_sum(a, -b)
+        swap = e.target.nid > f.target.nid
+        if swap:
+            e, f = f, e
+        fold = False
+        key = got = None
+        if self.use_caches:
+            disc, ks = self._pair_key("h", e, f)
+            if ks.real < 0 or (ks.real == 0 and ks.imag < 0):
+                fold = True
+                f, ks = scale_edge(-1.0, f), -ks
+            key = (disc, ks)
+            got = self._add_cache.get(*key)
+        if got is not None:
+            st.add_cache_hits += 2
+            s, d = (Edge(mul(e.label, g.label), g.target) for g in got)
+        else:
+            st.add_cache_misses += 2
+            s0, d0 = self._butterfly(self.store.follow(e, 0), self.store.follow(f, 0))
+            s1, d1 = self._butterfly(self.store.follow(e, 1), self.store.follow(f, 1))
+            s = self._node(s0, s1, e.target)
+            d = self._node(d0, d1, e.target)
+            if key is not None:
+                inv = inverse(e.label)
+                self._add_cache.put(
+                    *key, tuple(Edge(mul(inv, r.label), r.target) for r in (s, d))
+                )
+        if fold:
+            s, d = d, s
+        if swap:
+            d = scale_edge(-1.0, d)
+        return s, d
+
+    def _cross(self, e: Edge, f: Edge, c: int) -> Edge:
+        """P0|e> + P1|f> at one level, P_b the projector onto qubit c = b.
+
+        The descent follows both operands down to level c and takes branch
+        0 of e and branch 1 of f there, with no projection node and no Add.
+        The entry is normalized by A = e's label; since P_b A = A P_(b xor
+        x), an X or Y factor of A on qubit c swaps the roles of e and f, and
+        that bit is part of the key.  When one term is zero the other is a
+        projection, which is cached per node rather than per pair."""
+        if not self._reaches(e, c, 0):
+            return self._project(f, c, 1)
+        if not self._reaches(f, c, 1):
+            return self._project(e, c, 0)
+        key = None
+        if self.use_caches:
+            flip = (e.label.x >> (c - 1)) & 1
+            key = self._pair_key(("x", c, flip), e, f)
+            got = self._add_cache.get(*key)
+            if got is not None:
+                return Edge(mul(e.label, got.label), got.target)
+        if e.target.index == c:
+            r0, r1 = self.store.follow(e, 0), self.store.follow(f, 1)
+        else:
+            r0 = self._cross(self.store.follow(e, 0), self.store.follow(f, 0), c)
+            r1 = self._cross(self.store.follow(e, 1), self.store.follow(f, 1), c)
+        res = self._node(r0, r1, e.target)
+        if key is not None:
+            self._add_cache.put(*key, Edge(mul(inverse(e.label), res.label), res.target))
+        return res
+
+    def _reaches(self, e: Edge, k: int, b: int) -> bool:
+        """Whether |e> has a nonzero amplitude with qubit k = b; exact (no
+        float test), cached per node."""
+        if is_zero(e.label):
+            return False
+        b ^= (e.label.x >> (k - 1)) & 1
+        v = e.target
+        key = (v.nid, k, b)
+        got = self._reach_cache.get(key)
+        if got is None:
+            if v.index == k:
+                got = not is_zero((v.high if b else v.low).label)
+            else:
+                got = self._reaches(v.low, k, b) or self._reaches(v.high, k, b)
+            self._reach_cache[key] = got
+        return got
+
+    def _pair_key(self, tag, e: Edge, f: Edge) -> tuple:
+        """(discrete part, scalar) key of a two-operand descent, normalized
+        by e's label: the tag, both targets and the root label of e^-1 f."""
+        k = self.store.root_label(Edge(mul(inverse(e.label), f.label), f.target))
+        return (tag, e.target.nid, f.target.nid, k.x, k.z), k.scalar
+
+    def _leaf_sum(self, a: complex, b: complex) -> Edge:
+        s = a + b
+        if abs(s) <= EPS_EQ * max(1.0, abs(a), abs(b)):
+            return Edge(zero(0), self.store.leaf)
+        return Edge(PauliLim(0, 0, 0, s), self.store.leaf)
+
+    def _node(self, e0: Edge, e1: Edge, v) -> Edge:
+        """make_edge(e0, e1), or the zero edge on ``v``'s level when both
+        children are zero."""
+        if is_zero(e0.label) and is_zero(e1.label):
+            return Edge(zero(v.index), v)
+        return self.store.make_edge(e0, e1)
 
     def apply_gate(self, u: Edge, e: Edge) -> Edge:
         """Apply the matrix held by gate edge ``u`` (2k levels) to ``e``."""
@@ -229,10 +348,7 @@ class Engine:
                 self.apply_gate(self.store.follow(ur, c), cols[c]) for c in (0, 1)
             ]
             rows.append(self.add(parts[0], parts[1]))
-        if is_zero(rows[0].label) and is_zero(rows[1].label):
-            res = Edge(zero(lvl), e.target)
-        else:
-            res = self.store.make_edge(rows[0], rows[1])
+        res = self._node(rows[0], rows[1], e.target)
         if disc is not None:
             self._apply_cache[disc] = scale_edge(
                 1.0 / (u.label.scalar * e.label.scalar), res
@@ -374,10 +490,7 @@ class Engine:
             else:
                 lo = self._descend(v.low, level, op, step, at_node)
                 hi = self._descend(v.high, level, op, step, at_node)
-                if is_zero(lo.label) and is_zero(hi.label):
-                    res = Edge(zero(v.index), v)
-                else:
-                    res = self.store.make_edge(lo, hi)
+                res = self._node(lo, hi, v)
             self._unary_cache[key] = res
         return Edge(mul(lbl, res.label), res.target)
 
@@ -395,8 +508,7 @@ class Engine:
         self._require_pauli_mode()
 
         def at_node(v, op):
-            a0 = self.add(v.low, v.high)
-            a1 = self.add(v.low, scale_edge(-1.0, v.high))
+            a0, a1 = self._butterfly(v.low, v.high)
             if is_zero(a0.label) and is_zero(a1.label):
                 raise EngineError("hadamard produced the zero state")
             return scale_edge(_SQRT1_2, self.store.make_edge(a0, a1))
@@ -425,16 +537,17 @@ class Engine:
         return self._descend(e, c, ("c" + letter, c, t), _conj_step(circ), at_node)
 
     def apply_upward_cnot(self, e: Edge, c: int, t: int) -> Edge:
-        """CX with the target above the control (t > c): four projections
-        and two adds at the target level."""
+        """CX with the target above the control (t > c).  At a node of the
+        target level the new branches are P0|low> + P1|high> and P0|high> +
+        P1|low>, P_b the projector onto the control = b; each is one
+        ``_cross`` descent to the control level."""
         self._require_pauli_mode()
         if not t > c:
             raise EngineError("upward form needs target above control")
 
         def at_node(v, op):
-            lo, hi = v.low, v.high
-            a0 = self.add(self._project(lo, c, 0), self._project(hi, c, 1))
-            a1 = self.add(self._project(hi, c, 0), self._project(lo, c, 1))
+            a0 = self._cross(v.low, v.high, c)
+            a1 = self._cross(v.high, v.low, c)
             if is_zero(a0.label) and is_zero(a1.label):
                 raise EngineError("cnot produced the zero state")
             return self.store.make_edge(a0, a1)

@@ -204,10 +204,16 @@ def lex_cmp(a: PauliLim, b: PauliLim) -> int:
         return -1 if a.x < b.x else 1
     if a.z != b.z:
         return -1 if a.z < b.z else 1
-    ra, rb = abs(a.scalar), abs(b.scalar)
+    return scalar_cmp(a.scalar, b.scalar)
+
+
+def scalar_cmp(a: complex, b: complex) -> int:
+    """The scalar part of ``lex_cmp``: magnitude, then phase in [0, 2*pi);
+    float ties within EPS_ORD are equal.  Returns -1, 0, or 1."""
+    ra, rb = abs(a), abs(b)
     if abs(ra - rb) > EPS_ORD:
         return -1 if ra < rb else 1
-    ta, tb = _phase_angle(a.scalar), _phase_angle(b.scalar)
+    ta, tb = _phase_angle(a), _phase_angle(b)
     if abs(ta - tb) > EPS_ORD:
         return -1 if ta < tb else 1
     return 0

@@ -206,6 +206,25 @@ def test_shots_are_engine_sample_draws():
         assert report["counts"] == want
 
 
+def test_dense_shots_match_one_draw_per_shot():
+    # all dense shots come from one rng.choice; the counts for a seed are
+    # those of one rng.choice call per shot
+    n = 9
+    text = f"qubits {n}\n" + "".join(f"h {q}\nt {q}\n" for q in range(n))
+    c = parse_circuit(text + "cx 0 4\ncz 2 7\nmeasure 5\nmeasure 1\n")
+    report = run(RunConfig(mode="dense", shots=500, seed=13), c)
+    probs = np.abs(dense_simulate(c)) ** 2
+    probs = probs / probs.sum()
+    draws = np.random.default_rng(13)
+    want: dict = {}
+    for _ in range(500):
+        full = format(int(draws.choice(probs.size, p=probs)), f"0{n}b")
+        key = full[5] + full[1]
+        want[key] = want.get(key, 0) + 1
+    assert len(want) == 4
+    assert report["counts"] == dict(sorted(want.items()))
+
+
 def test_run_stats_cluster_separation():
     from limdd.states import cluster_state
 

@@ -181,6 +181,111 @@ def test_add_cache_commutes():
     assert np.allclose(eng.store.to_dense(r1), eng.store.to_dense(r2), atol=1e-12)
 
 
+def _operand(eng, rng, xs=0):
+    """A random edge on all qubits: a dense, sparse, stabilizer or zero
+    vector under a random Pauli label whose X block includes ``xs``."""
+    m = eng.n
+    kind = int(rng.integers(0, 4))
+    if kind == 3:
+        return Edge(pl.zero(m), eng.root.target)
+    if kind == 2:
+        src = Engine(m)
+        for gate in random_clifford_circuit(m, rng, 4 * m):
+            src.run_gate(*gate)
+        vec = src.to_dense()
+    else:
+        vec = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+        if kind == 1:
+            vec[rng.random(1 << m) < 0.6] = 0.0
+            vec[int(rng.integers(0, 1 << m))] = 1.0
+    e = edge_from_dense(eng.store, vec)
+    x = int(rng.integers(0, 1 << m)) | xs
+    z = int(rng.integers(0, 1 << m))
+    p = pl.PauliLim(m, x, z, (1, 1j, -1, -1j)[int(rng.integers(0, 4))])
+    return Edge(pl.mul(p, e.label), e.target)
+
+
+def _same_state(eng, got, want):
+    vg, vw = eng.store.to_dense(got), eng.store.to_dense(want)
+    assert np.allclose(vg, vw, atol=1e-10)
+    assert pl.is_zero(got.label) == pl.is_zero(want.label)
+    if not pl.is_zero(want.label):
+        assert got.target is want.target
+
+
+@pytest.mark.parametrize("use_caches", [True, False])
+def test_butterfly_matches_two_adds(use_caches):
+    rng = np.random.default_rng(91)
+    m = 4
+    eng = Engine(m, use_caches=use_caches)
+    top = 1 << (m - 1)
+    for trial in range(60):
+        e = _operand(eng, rng, xs=top if trial % 2 else 0)
+        if trial % 5 == 0 and not pl.is_zero(e.label):
+            # equal targets, another label
+            f = Edge(pl.mul(pl.PauliLim(m, top, 1, 0.5j), e.label), e.target)
+        else:
+            f = _operand(eng, rng, xs=top if trial % 3 else 0)
+        s, d = eng._butterfly(e, f)
+        _same_state(eng, s, eng.add(e, f))
+        _same_state(eng, d, eng.add(e, scale_edge(-1.0, f)))
+    if not use_caches:
+        assert eng.stats.add_cache_hits == 0
+
+
+def test_butterfly_shares_one_entry_for_both_signs():
+    rng = np.random.default_rng(92)
+    eng = Engine(3)
+    for _ in range(10):
+        e = edge_from_dense(eng.store, rng.normal(size=8) + 1j * rng.normal(size=8))
+        f = edge_from_dense(eng.store, rng.normal(size=8) + 1j * rng.normal(size=8))
+        s, d = eng._butterfly(e, f)
+        hits = eng.stats.add_cache_hits
+        s2, d2 = eng._butterfly(e, scale_edge(-1.0, f))
+        assert eng.stats.add_cache_hits == hits + 2
+        _same_state(eng, s2, d)
+        _same_state(eng, d2, s)
+
+
+@pytest.mark.parametrize("use_caches", [True, False])
+def test_cross_matches_projections_and_add(use_caches):
+    rng = np.random.default_rng(93)
+    m = 4
+    eng = Engine(m, use_caches=use_caches)
+    for trial in range(80):
+        c = int(rng.integers(1, m + 1)) if trial % 4 else m
+        flip = 1 << (c - 1)
+        e = _operand(eng, rng, xs=flip if trial % 2 else 0)
+        f = _operand(eng, rng, xs=flip if trial % 3 else 0)
+        if trial % 7 == 0 and not pl.is_zero(e.label):
+            f = Edge(pl.mul(pl.PauliLim(m, flip, 0, -1), e.label), e.target)
+        # X on qubit c of both operands keeps the pair's key and swaps the
+        # projections, so the second call must not reuse the first entry
+        xc = pl.single(m, c, "X")
+        flipped = tuple(Edge(pl.mul(xc, g.label), g.target) for g in (e, f))
+        for a, b in ((e, f), flipped):
+            got = eng._cross(a, b, c)
+            want = eng.add(eng._project(a, c, 0), eng._project(b, c, 1))
+            _same_state(eng, got, want)
+
+
+def test_upward_cx_on_clifford_t_circuits_matches_dense():
+    rng = np.random.default_rng(94)
+    names = ("h", "s", "t", "tdg", "x", "y")
+    for n in range(2, 11):
+        ops = []
+        for _ in range(6 * n):
+            if rng.random() < 0.45:
+                lo, hi = sorted(int(q) for q in rng.choice(n, size=2, replace=False))
+                # user qubit 0 is the top, so control below target is upward
+                ops.append(("cx", (hi, lo)) if rng.random() < 0.75 else ("cz", (lo, hi)))
+            else:
+                ops.append((names[int(rng.integers(0, len(names)))], (int(rng.integers(0, n)),)))
+        c = Circuit(n, tuple(ops))
+        eng = build_engine(c, "limdd", debug=True)
+        assert np.max(np.abs(eng.to_dense() - dense_simulate(c))) < 1e-8
+
+
 def test_squared_norm_values():
     eng = Engine(1)
     plus_unnormalized = edge_from_dense(eng.store, np.array([1.0, 1.0]))
@@ -568,6 +673,19 @@ def test_gate_past_the_recursion_limit_is_an_engine_error():
     with pytest.raises(EngineError, match="600 qubits"):
         eng.run_gate("h", 1)
     assert eng.root is root
+
+
+def test_limdd_descents_past_the_recursion_limit_are_engine_errors():
+    # H on qubit 1 descends through every level; an upward cx over the
+    # whole register runs its cross-select descent from top to bottom
+    eng = Engine(1100)
+    eng.run_gate("h", 1100)
+    root = eng.root
+    for gate in (("h", 1), ("cx", 1, 1100)):
+        with pytest.raises(EngineError, match="1100 qubits") as err:
+            eng.run_gate(*gate)
+        assert "\n" not in str(err.value)
+        assert eng.root is root
 
 
 def test_measurement_past_the_recursion_limit():
