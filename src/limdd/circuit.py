@@ -179,6 +179,8 @@ def _check_mcx(qs: tuple, n: int) -> tuple:
         raise CircuitError("mcx qubits must be distinct")
     if any(not 0 <= q < n for q in used):
         raise CircuitError("mcx qubit out of range")
+    if any(want not in (0, 1) for _, want in controls):
+        raise CircuitError("mcx wanted bits must be 0 or 1")
     return target, controls
 
 

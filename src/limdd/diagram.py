@@ -141,9 +141,6 @@ class ScalarKeyedTable:
         key = (disc, round(scalar.real * 1e9), round(scalar.imag * 1e9))
         self._d.setdefault(key, []).append((scalar, val))
 
-    def clear(self) -> None:
-        self._d.clear()
-
 
 def _lim_disc(a: PauliLim) -> tuple:
     return (a.x, a.z)
@@ -167,8 +164,11 @@ class DiagramStore:
     the double-coset minimum of a label is the label itself, so
     ``arg_lex_min``, ``root_label``, ``get_labels`` and ``_stab_recursive``
     answer such queries directly, with what the general path computes on
-    that input and without an elimination; ``follow`` likewise skips the
-    Pauli algebra for a label whose string is the identity."""
+    that input and without an elimination.  For ``_stab_recursive`` that
+    includes a node whose children are one node with group {I}: its group
+    is at most one swap row (``_swap_rows``), which covers every level-one
+    node with a nonzero high edge.  ``follow`` likewise skips the Pauli
+    algebra for a label whose string is the identity."""
 
     def __init__(self, group: str = "pauli"):
         if group not in ("pauli", "identity"):
@@ -359,18 +359,10 @@ class DiagramStore:
     def intersect_stabilizer_groups(
         self, g0: GeneratorSet, g1: GeneratorSet
     ) -> GeneratorSet:
-        """<g0> meet <g1>, reduced (from the pair record)."""
+        """<g0> meet <g1>, reduced (from the pair record).  Part of the
+        stabilizer toolkit; the store reads the meet from ``_pair``
+        directly."""
         return self._pair(g0, g1)[2]
-
-    def intersect_isomorphism_sets(
-        self, pi0: PauliLim, g0: GeneratorSet, pi1: PauliLim, g1: GeneratorSet
-    ) -> Optional[tuple[PauliLim, GeneratorSet]]:
-        """Representative and group of pi0<g0> intersect pi1<g1>, or None."""
-        a = mul(inverse(pi1), pi0)
-        w0, _, val = self.arg_lex_min(g0, g1, a)
-        if val.is_identity_string() and abs(val.scalar - 1.0) <= EPS_EQ:
-            return mul(pi0, w0), self.intersect_stabilizer_groups(g0, g1)
-        return None
 
     def get_stabilizer_gen_set(self, v: Node) -> GeneratorSet:
         """Generators of the Pauli stabilizer subgroup of |v>, cached per
@@ -381,30 +373,9 @@ class DiagramStore:
         got = self._stab.get(v.nid)
         if got is not None:
             return got
-        m = v.index
-        if m == 1:
-            res = self._stab_level_one(v)
-        else:
-            res = self._stab_recursive(v)
+        res = self._stab_recursive(v)
         self._stab[v.nid] = res
         return res
-
-    def _stab_level_one(self, v: Node) -> GeneratorSet:
-        # |v> = (1, beta); scan the six signed single-qubit strings
-        beta = None if is_zero(v.high.label) else v.high.label.scalar
-        gens = []
-        if beta is None:
-            gens.append(single(1, 1, "Z"))
-        else:
-            if abs(beta - 1.0) <= EPS_EQ:
-                gens.append(single(1, 1, "X"))
-            elif abs(beta + 1.0) <= EPS_EQ:
-                gens.append(single(1, 1, "X", -1.0))
-            elif abs(beta - 1j) <= EPS_EQ:
-                gens.append(single(1, 1, "Y"))
-            elif abs(beta + 1j) <= EPS_EQ:
-                gens.append(single(1, 1, "Y", -1.0))
-        return GeneratorSet(1, gens)
 
     def _stab_recursive(self, v: Node) -> GeneratorSet:
         # I (x) a reduced basis is still reduced, so the node's basis is the
@@ -417,23 +388,20 @@ class DiagramStore:
         a1 = v.high.label
         v1 = v.high.target
         g1 = self.get_stabilizer_gen_set(v1)
-        if not (g0.gens or g1.gens) and v0 is not v1:
-            return self.empty_set(m)
+        if not (g0.gens or g1.gens):
+            # no meet and no opposite element; at most one swap row holds
+            rows = _swap_rows(a1, None) if v0 is v1 else []
+            return GeneratorSet(m, rows) if rows else self.empty_set(m)
         # conjugation only flips signs, so the reduced set stays reduced
         g1 = GeneratorSet.exact(m - 1, tuple(pauli_conjugate(a1, g) for g in g1.gens))
         _, opp, meet = self._pair(g0, g1)
         # diagonal stabilizers: I (x) (G0 meet G1) and Z (x) h, h in G0, -h in G1
         new = [] if opp is None else [tensor_top("Z", opp)]
         # antidiagonal stabilizers need the children to be isomorphic, which
-        # canonicity turns into the children being the same node.  X (x) h
-        # swaps the halves, so h must take |v0> to a1|v1> and back; Y (x) h
-        # the same with -i a1
+        # canonicity turns into the children being the same node; the rows
+        # then follow from the high label's scalar (``_swap_rows``)
         if v0 is v1:
-            for letter, c in (("X", 1.0), ("Y", -1j)):
-                p0 = scale(c, a1)
-                res = self.intersect_isomorphism_sets(p0, g0, inverse(p0), g1)
-                if res is not None:
-                    new.append(tensor_top(letter, res[0]))
+            new += _swap_rows(a1, opp)
         return rref_insert(_prefix_i(meet), new)
 
     # -- canonicalizing constructor -----------------------------------------
@@ -594,6 +562,29 @@ class DiagramStore:
                 )
         lines.append("}")
         return "\n".join(lines)
+
+
+def _swap_rows(a1: PauliLim, opp: Optional[PauliLim]) -> list[PauliLim]:
+    """The X (x) h and Y (x) h stabilizers of |0>|w> + |1>a1|w>, a node
+    whose children are one node |w> with group G; ``opp`` is the pair
+    record's element of G that anticommutes with a1, or None.
+
+    X (x) h swaps the halves, so it stabilizes the node exactly when h|w> =
+    a1|w> and h a1|w> = |w>; Y (x) h exactly when h|w> = -i a1|w> and h
+    a1|w> = i|w>.  So h = p g with p = c a1 (c = 1 for X, -i for Y) and g in
+    G.  With a1 = lambda P, p p = q I for q = (c lambda)^2, and h a1 = c^-1 p
+    g p = +-q c^-1 g, minus when g anticommutes with P: the second condition
+    holds exactly when +-q = 1.  Up to the rows I (x) g of the meet, g = I
+    when q = 1 and g = opp when q = -1.  q for Y is -q for X, so without
+    ``opp`` at most one row holds."""
+    s = a1.scalar * a1.scalar
+    rows = []
+    for letter, c, q in (("X", 1.0, s), ("Y", -1j, -s)):
+        if abs(q - 1.0) <= EPS_EQ:
+            rows.append(tensor_top(letter, a1, c))
+        elif opp is not None and abs(q + 1.0) <= EPS_EQ:
+            rows.append(tensor_top(letter, mul(scale(c, a1), opp)))
+    return rows
 
 
 def _prefix_i(g: GeneratorSet) -> GeneratorSet:

@@ -1,8 +1,9 @@
 """Circuit simulation on top of the diagram store.
 
 The engine owns one DiagramStore plus the dynamic-programming caches for
-ApplyGate and Add, keyed on canonicalized operands so that edges equal up to
-stabilizer factors (and, for ApplyGate, up to complex phase) share results.
+ApplyGate and Add.  Add keys on canonicalized operands so that edges equal
+up to stabilizer factors share results; ApplyGate runs only on scalar labels
+and keys on its two targets, so edges equal up to a scalar share results.
 In "limdd" mode every gate takes a structural route:
 
   * Pauli gates multiply the root label,
@@ -106,10 +107,6 @@ class EngineStats:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _phase_quarter(s: complex) -> int:
-    return int(round(cmath.phase(s) / (math.pi / 2))) % 4
 
 
 def _phase_step(lbl: PauliLim, op: tuple) -> tuple:
@@ -334,7 +331,9 @@ class Engine:
             return Edge(mul(u.label, e.label), self.store.leaf)
         disc = None
         if self.use_caches:
-            disc = self._apply_key(u, e)
+            # labels are scalars here (gate diagrams need an identity-group
+            # store), so the targets are the key and the scalars factor out
+            disc = (u.target.nid, e.target.nid)
             got = self._apply_cache.get(disc)
             if got is not None:
                 self.stats.apply_cache_hits += 1
@@ -355,28 +354,14 @@ class Engine:
             )
         return res
 
-    def _apply_key(self, u: Edge, e: Edge) -> tuple:
-        ru = self.store.root_label(
-            Edge(PauliLim(u.label.n, u.label.x, u.label.z, 1.0), u.target)
-        )
-        re_ = self.store.root_label(
-            Edge(PauliLim(e.label.n, e.label.x, e.label.z, 1.0), e.target)
-        )
-        return (
-            u.target.nid,
-            ru.x,
-            ru.z,
-            _phase_quarter(ru.scalar),
-            e.target.nid,
-            re_.x,
-            re_.z,
-            _phase_quarter(re_.scalar),
-        )
-
     # -- gate diagrams ------------------------------------------------------
 
     def gate_to_dd(self, name: str, qubits: Sequence[int]) -> Edge:
-        """2n-level diagram for a named gate on the given 1-based qubits."""
+        """2n-level diagram for a named gate on the given 1-based qubits;
+        qmdd mode only, since ``apply_gate`` keys its cache on scalar
+        labels."""
+        if self.store.group != "identity":
+            raise EngineError("gate diagrams run only in qmdd mode")
         qubits = tuple(int(q) for q in qubits)
         self._check_qubits(qubits)
         key = (name, qubits)
@@ -642,6 +627,8 @@ class Engine:
         """Probability that qubit k of |e> reads y; builds no node."""
         if not 1 <= k <= e.target.index:
             raise EngineError(f"qubit {k} out of range")
+        if y not in (0, 1):
+            raise EngineError(f"outcome {y!r} is not 0 or 1")
         norm = self.squared_norm(e)
         if norm == 0.0:
             raise EngineError("zero state has no measurement probabilities")
@@ -717,10 +704,15 @@ class Engine:
         return e
 
     def run_mcx(self, controls: Iterable[tuple[int, int]], target: int) -> None:
-        """Multi-controlled X on the current root, with gate bookkeeping."""
+        """Multi-controlled X on the current root, with gate bookkeeping;
+        ``controls`` holds (qubit, wanted bit) pairs."""
+        controls = tuple(controls)
+        self._check_qubits((target,) + tuple(q for q, _ in controls))
+        if any(want not in (0, 1) for _, want in controls):
+            raise EngineError("mcx wanted bits must be 0 or 1")
         self.stats.gate_count += 1
         try:
-            e = self.apply_mcx(self.root, tuple(controls), target)
+            e = self.apply_mcx(self.root, controls, target)
         except RecursionError:
             raise self._too_deep("mcx") from None
         self.set_root(e)

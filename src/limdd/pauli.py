@@ -209,7 +209,10 @@ def lex_cmp(a: PauliLim, b: PauliLim) -> int:
 
 def scalar_cmp(a: complex, b: complex) -> int:
     """The scalar part of ``lex_cmp``: magnitude, then phase in [0, 2*pi);
-    float ties within EPS_ORD are equal.  Returns -1, 0, or 1."""
+    float ties within EPS_ORD are equal, and ties wrap around at phase 0:
+    a phase within EPS_ORD below 2*pi counts as 0, so a real scalar with a
+    -1e-16 imaginary part ranks with its exactly real twin, not last.
+    Returns -1, 0, or 1."""
     ra, rb = abs(a), abs(b)
     if abs(ra - rb) > EPS_ORD:
         return -1 if ra < rb else 1
@@ -223,7 +226,7 @@ def _phase_angle(c: complex) -> float:
     t = cmath.phase(c)
     if t < 0:
         t += 2.0 * math.pi
-    if t >= 2.0 * math.pi:
+    if t >= 2.0 * math.pi - EPS_ORD:
         t = 0.0
     return t
 

@@ -9,6 +9,8 @@ printed bit string.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from limdd.pauli import GeneratorSet, PauliLim, ZeroLim, mul
@@ -135,6 +137,44 @@ def brute_stabilizer_elements(vec: np.ndarray) -> list[PauliLim]:
         if np.allclose(apply_lim_dense(p, vec), vec, atol=1e-9):
             out.append(p)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_stack(m: int) -> np.ndarray:
+    """The 4^m unsigned Pauli strings on m qubits as one (4^m, 2^m, 2^m) array."""
+    return np.array(
+        [lim_to_matrix(PauliLim(m, x, z)) for x in range(1 << m) for z in range(1 << m)]
+    )
+
+
+def _fingerprints(vecs: np.ndarray) -> list[bytes]:
+    """One key per row, equal for rows equal up to a nonzero scalar: each row
+    is divided by its first entry above 1e-9 and rounded to 1e-8."""
+    first = np.argmax(np.abs(vecs) > 1e-9, axis=1)
+    rows = vecs / vecs[np.arange(len(vecs)), first][:, None]
+    parts = np.rint(np.stack([rows.real, rows.imag], axis=-1) * 1e8).astype(np.int64)
+    return [r.tobytes() for r in parts]
+
+
+def pauli_duplicate_nodes(store, max_level: int) -> list[tuple[int, int]]:
+    """Pairs (nid, nid) of nodes up to ``max_level`` whose states are equal
+    up to a Pauli string and a nonzero scalar: every P|v> of every node
+    (all 4^m strings) is fingerprinted, and nodes sharing a fingerprint are
+    reported.  Canonical stores have none."""
+    from limdd.diagram import Edge
+
+    owner: dict = {}
+    pairs = set()
+    for v in store.nodes[1:]:
+        m = v.index
+        if m > max_level:
+            continue
+        vec = store.to_dense(Edge(PauliLim(m, 0, 0, 1.0), v))
+        for key in set(_fingerprints(_pauli_stack(m) @ vec)):
+            other = owner.setdefault((m, key), v.nid)
+            if other != v.nid:
+                pairs.add((other, v.nid))
+    return sorted(pairs)
 
 
 def symplectic_commutes(a: PauliLim, b: PauliLim) -> bool:

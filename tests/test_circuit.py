@@ -92,6 +92,14 @@ def test_format_rejects_mcx():
         format_circuit(w_state_as_circuit(4))
 
 
+def test_mcx_rejects_bad_wanted_bits():
+    c = Circuit(3, (("x", (1,)), ("mcx", (0, (1, 1), (2, 3)))))
+    with pytest.raises(CircuitError, match="wanted bits"):
+        dense_simulate(c)
+    with pytest.raises(CircuitError, match="wanted bits"):
+        build_engine(c, "limdd")
+
+
 def test_dense_single_hadamard():
     vec = dense_simulate(parse_circuit("qubits 1\nh 0"))
     assert np.allclose(vec, np.full(2, 1 / math.sqrt(2)), atol=1e-12)

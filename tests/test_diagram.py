@@ -20,6 +20,7 @@ from oracles import (
     edge_from_dense,
     enumerate_group,
     group_keys,
+    pauli_duplicate_nodes,
     random_clifford_circuit,
     random_stabilizer_genset,
 )
@@ -349,7 +350,7 @@ def test_stab_gen_set_level_one_cases():
 
 
 def test_stab_level_one_scan_covers_negative_phases():
-    # the base-case scanner itself handles forms make_edge never stores
+    # the swap rows of a level-one node cover forms make_edge never stores
     from limdd.diagram import Node
 
     store = DiagramStore()
@@ -364,7 +365,7 @@ def test_stab_level_one_scan_covers_negative_phases():
             Edge(pl.PauliLim(0, 0, 0, beta), store.leaf),
             -1,
         )
-        assert group_keys(store._stab_level_one(v)) == want
+        assert group_keys(store._stab_recursive(v)) == want
 
 
 def test_stab_gen_set_on_clifford_t_stores():
@@ -401,6 +402,73 @@ def test_stab_gen_set_on_clifford_t_stores():
                 tops & {(1, 0), (1, 1)}
             )
     assert min(seen.values()) > 0, seen
+
+
+def test_scalars_a_float_residue_apart_make_one_node():
+    # (sqrt2 - 1) with imaginary parts -5.55e-17 and -2.39e-16: both must
+    # rank as phase 0, not one of them just below 2 pi, or get_labels picks
+    # opposite signs for them and stores two nodes
+    store = DiagramStore()
+    v = edge_from_dense(store, np.array([1.0, 0.5])).target
+    assert not store.get_stabilizer_gen_set(v).gens
+    targets = {
+        store.make_edge(
+            Edge(pl.identity(1), v), Edge(pl.PauliLim(1, 0, 0, lam), v)
+        ).target.nid
+        for lam in (
+            complex(math.sqrt(2) - 1, -5.55e-17),
+            complex(math.sqrt(2) - 1, -2.39e-16),
+        )
+    }
+    assert len(targets) == 1
+    assert store.node_count() == 2
+    assert pauli_duplicate_nodes(store, 2) == []
+
+
+def test_same_children_group_with_a_float_residue():
+    # |00> + lambda|11> with lambda = i + 2.8e-16: both swap rows (X (x) h
+    # through the opposite element Z, and Y (x) h) must be found
+    store = DiagramStore()
+    z = edge_from_dense(store, np.array([1.0, 0.0])).target
+    e = store.make_edge(
+        Edge(pl.identity(1), z), Edge(pl.PauliLim(1, 1, 0, 1j + 2.8e-16), z)
+    )
+    v = e.target
+    assert v.low.target is v.high.target
+    vec = store.to_dense(Edge(pl.identity(2), v))
+    want = {
+        (p.x, p.z, 1 if p.scalar.real > 0 else -1)
+        for p in brute_stabilizer_elements(vec)
+    }
+    assert len(want) == 4
+    assert group_keys(store.get_stabilizer_gen_set(v)) == want
+
+
+@pytest.mark.parametrize("seed", [3, 33, 52])
+def test_clifford_t_stores_are_canonical_under_float_scalars(seed):
+    # seeds whose stores once held a Pauli-equivalent duplicate node or a
+    # same-children group smaller than brute force
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    eng = Engine(n)
+    for _ in range(10 * n):
+        name = str(rng.choice(["h", "h", "s", "t", "tdg", "x", "cx", "cz"]))
+        if name in ("cx", "cz"):
+            a, b = rng.choice(np.arange(1, n + 1), size=2, replace=False)
+            eng.run_gate(name, int(a), int(b))
+        else:
+            eng.run_gate(name, int(rng.integers(1, n + 1)))
+    store = eng.store
+    assert pauli_duplicate_nodes(store, 5) == []
+    for v in store.nodes[1:]:
+        if v.index > 4:
+            continue
+        vec = store.to_dense(Edge(pl.identity(v.index), v))
+        want = {
+            (p.x, p.z, 1 if p.scalar.real > 0 else -1)
+            for p in brute_stabilizer_elements(vec)
+        }
+        assert group_keys(store.get_stabilizer_gen_set(v)) == want, v
 
 
 def test_stab_cache_is_eager():

@@ -156,16 +156,15 @@ def test_cache_disabled_matches_enabled():
 
 
 def test_apply_cache_hits_across_phase_factors():
-    # a query differing from a stored entry only by a label phase must hit
-    eng = Engine(2)
+    # a query differing from a stored entry only by a label scalar must hit
+    eng = Engine(2, mode="qmdd")
     u = eng.gate_to_dd("x", (1,))
     base = eng.root
     first = eng.apply_gate(u, base)
     hits = eng.stats.apply_cache_hits
-    scaled = Edge(pl.mul(pl.single(2, 2, "Z", 1j), base.label), base.target)
-    second = eng.apply_gate(u, scaled)
+    second = eng.apply_gate(u, scale_edge(0.5j, base))
     assert eng.stats.apply_cache_hits == hits + 1
-    want = 1j * (op_on_qubit(2, 2, Z2) @ eng.store.to_dense(first))
+    want = 0.5j * eng.store.to_dense(first)
     assert np.allclose(eng.store.to_dense(second), want, atol=1e-12)
 
 
@@ -591,15 +590,16 @@ def gate_matrix(eng, u, n):
 
 
 def test_gate_to_dd_identity_structure():
-    eng = Engine(1)
+    # an identity-group store keeps a zero-low node for the second row
+    eng = Engine(1, mode="qmdd")
     u = eng.gate_to_dd("i", (1,))
     assert u.target.index == 2
-    assert eng.store.reachable_count(u) == 2
+    assert eng.store.reachable_count(u) == 3
     assert np.allclose(gate_matrix(eng, u, 1), np.eye(2), atol=1e-12)
 
 
 def test_gate_to_dd_hadamard_cells():
-    eng = Engine(1)
+    eng = Engine(1, mode="qmdd")
     u = eng.gate_to_dd("h", (1,))
     s = 1 / math.sqrt(2)
     assert np.allclose(
@@ -608,7 +608,7 @@ def test_gate_to_dd_hadamard_cells():
 
 
 def test_gate_to_dd_cnot_both_orientations():
-    eng = Engine(2)
+    eng = Engine(2, mode="qmdd")
     for c, t in ((2, 1), (1, 2)):
         u = eng.gate_to_dd("cx", (c, t))
         assert u.target.index == 4
@@ -616,7 +616,7 @@ def test_gate_to_dd_cnot_both_orientations():
 
 
 def test_gate_to_dd_embeds_in_wider_registers():
-    eng = Engine(4)
+    eng = Engine(4, mode="qmdd")
     u = eng.gate_to_dd("cz", (3, 1))
     assert np.allclose(gate_matrix(eng, u, 4), cz_matrix(4, 3, 1), atol=1e-12)
 
@@ -664,6 +664,34 @@ def test_gate_argument_validation():
         Engine(0)
     with pytest.raises(EngineError):
         Engine(2, mode="dense")
+
+
+def test_limdd_engine_rejects_gate_diagrams():
+    with pytest.raises(EngineError, match="qmdd"):
+        Engine(2).gate_to_dd("x", (1,))
+
+
+def test_mcx_argument_validation():
+    eng = Engine(3)
+    eng.run_gate("x", 1)
+    root = eng.root
+    for controls, target in (
+        ([(5, 1)], 2),        # control out of range
+        ([(1, 1)], 7),        # target out of range, nonzero projection
+        ([(2, 1)], 7),        # target out of range, zero projection
+        ([(1, 3)], 2),        # wanted bit not 0 or 1
+        ([(2, 1)], 2),        # target is a control
+    ):
+        with pytest.raises(EngineError):
+            eng.run_mcx(controls, target)
+        assert eng.root is root
+    assert eng.stats.gate_count == 1
+
+
+def test_measurement_probability_rejects_bad_outcomes():
+    eng = Engine(2)
+    with pytest.raises(EngineError):
+        eng.measurement_probability(eng.root, 1, 2)
 
 
 def test_gate_past_the_recursion_limit_is_an_engine_error():
