@@ -32,17 +32,20 @@ included, is one ``_descend`` that recurses once per level, as do the
 two-operand descents; a run out of recursion depth is reported as an
 ``EngineError``.
 
-Measurement has two entry points.  ``sample`` draws a full basis string by
-walking one path down from the root, weighting each branch by its squared
-norm; it creates no nodes and does not recurse.  ``measurement_probability``
-gives one qubit's outcome probability from a per-node dynamic program over
-squared norms, without building a projection.
+Measurement reads one per-node table, ``_weights``: the log of the node's
+squared norm and the probability that its top qubit reads 1, filled from an
+explicit stack.  Log norms do not overflow where absolute norms reach 2^n.
+``sample`` draws a full basis string by walking one path down from the
+root, one branch probability per level; ``measurement_probability`` walks
+down level by level, carrying the probability of each (node, X parity on
+the measured qubit) pair.  Neither creates a node or recurses.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
@@ -87,6 +90,14 @@ MAT_1Q = {
 
 class EngineError(Exception):
     pass
+
+
+def _index(v, what: str) -> int:
+    """``operator.index(v)``, with a non-integer reported as an EngineError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise EngineError(f"{what} {v!r} is not an integer") from None
 
 
 @dataclass
@@ -162,8 +173,7 @@ class Engine:
         self._apply_cache: dict = {}
         self._add_cache = ScalarKeyedTable()
         self._unary_cache: dict = {}
-        self._norm_cache: dict[int, float] = {}
-        self._snp_cache: dict = {}
+        self._weight_table: dict[int, tuple[float, float]] = {0: (0.0, 0.0)}
         self._reach_cache: dict = {}
         self._gate_dd_cache: dict = {}
         self.set_root(e)
@@ -362,47 +372,33 @@ class Engine:
         labels."""
         if self.store.group != "identity":
             raise EngineError("gate diagrams run only in qmdd mode")
-        qubits = tuple(int(q) for q in qubits)
-        self._check_qubits(qubits)
+        qubits = self._check_qubits(qubits)
         key = (name, qubits)
         got = self._gate_dd_cache.get(key)
         if got is not None:
             return got
         if name in MAT_1Q and len(qubits) == 1:
-            actives, mat = qubits, MAT_1Q[name]
-        elif name == "cx" and len(qubits) == 2:
-            actives, mat = self._controlled_matrix(qubits[0], qubits[1], "x")
-        elif name == "cz" and len(qubits) == 2:
-            actives, mat = self._controlled_matrix(qubits[0], qubits[1], "z")
+            terms = ({qubits[0]: MAT_1Q[name]},)
+        elif name in ("cx", "cz") and len(qubits) == 2:
+            # |0><0|_c (x) I + |1><1|_c (x) U_t, CZ's control on the higher qubit
+            c, t = (max(qubits), min(qubits)) if name == "cz" else qubits
+            p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+            terms = ({c: p0}, {c: p1, t: MAT_1Q[name[1]]})
         else:
             raise EngineError(f"unsupported gate {name!r} on {len(qubits)} qubits")
-        res = self._build_gate_dd(actives, mat)
+        res = self._gate_diagram(terms)
         self._gate_dd_cache[key] = res
         return res
 
-    def _controlled_matrix(self, c: int, t: int, letter: str):
-        if c == t:
-            raise EngineError("control and target must differ")
-        actives = (max(c, t), min(c, t))
-        cpos = actives.index(c)   # 0 = high bit of the 4x4 index
-        tpos = 1 - cpos
-        mat = np.zeros((4, 4), dtype=complex)
-        for col in range(4):
-            if (col >> (1 - cpos)) & 1:
-                if letter == "x":
-                    mat[col ^ (1 << (1 - tpos)), col] = 1.0
-                else:
-                    mat[col, col] = -1.0 if (col >> (1 - tpos)) & 1 else 1.0
-            else:
-                mat[col, col] = 1.0
-        return actives, mat
-
-    def _check_qubits(self, qubits: Sequence[int]) -> None:
+    def _check_qubits(self, qubits: Sequence[int]) -> tuple:
+        """The qubits as ints; raises unless they are distinct and in 1..n."""
+        qubits = tuple(_index(q, "qubit") for q in qubits)
         if len(set(qubits)) != len(qubits):
             raise EngineError("repeated qubit argument")
         for q in qubits:
             if not 1 <= q <= self.n:
                 raise EngineError(f"qubit {q} out of range 1..{self.n}")
+        return qubits
 
     def _gate_pair(self, a: Optional[Edge], b: Optional[Edge]) -> Optional[Edge]:
         if a is None and b is None:
@@ -413,40 +409,35 @@ class Engine:
             b = Edge(zero(a.target.index), a.target)
         return self.store.make_edge(a, b)
 
-    def _build_gate_dd(self, actives_desc: tuple, mat: np.ndarray) -> Edge:
-        memo: dict = {}
+    def _gate_diagram(self, terms: Sequence[dict]) -> Edge:
+        """Gate diagram of a sum of tensor products, built level by level
+        from the bottom; each term maps qubits to 2x2 blocks, the identity
+        elsewhere.  Below every qubit a term acts on, the terms share one
+        identity chain.  On the highest such qubit the terms' blocks must
+        have disjoint support: the sum is taken cell by cell there, with no
+        Add, and one diagram goes on above it."""
 
-        def build(level: int, d: np.ndarray) -> Edge:
-            if level == 0:
-                s = complex(d[0, 0])
-                if s == 0:
-                    return Edge(zero(0), self.store.leaf)
-                return Edge(PauliLim(0, 0, 0, s), self.store.leaf)
-            key = (level, d.tobytes())
-            got = memo.get(key)
-            if got is not None:
-                return got
-            if level in actives_desc:
-                h = d.shape[0] // 2
-                quads = ((d[:h, :h], d[:h, h:]), (d[h:, :h], d[h:, h:]))
-                sub = {
-                    (r, c): (build(level - 1, quads[r][c]) if quads[r][c].any() else None)
-                    for r in (0, 1)
-                    for c in (0, 1)
-                }
-                res = self._gate_pair(
-                    self._gate_pair(sub[0, 0], sub[0, 1]),
-                    self._gate_pair(sub[1, 0], sub[1, 1]),
-                )
+        def node(parts) -> Edge:
+            cells = [[None, None], [None, None]]
+            for m, e in parts:
+                for r, row in enumerate(m.tolist()):
+                    for c, s in enumerate(row):
+                        if s:
+                            cells[r][c] = scale_edge(s, e)
+            return self._gate_pair(*(self._gate_pair(*row) for row in cells))
+
+        lo = min(q for t in terms for q in t)
+        top = max(q for t in terms for q in t)
+        es = [Edge(identity(0), self.store.leaf)] * len(terms)
+        for level in range(1, self.n + 1):
+            parts = [(t.get(level, MAT_1Q["i"]), e) for t, e in zip(terms, es)]
+            if level < lo:
+                es = [node(parts[:1])] * len(terms)
+            elif level < top:
+                es = [node([p]) for p in parts]
             else:
-                child = build(level - 1, d)
-                res = self._gate_pair(
-                    self._gate_pair(child, None), self._gate_pair(None, child)
-                )
-            memo[key] = res
-            return res
-
-        return build(self.n, mat)
+                es, terms = [node(parts)], ({},)
+        return es[0]
 
     # -- structural gate paths ---------------------------------------------
 
@@ -579,88 +570,91 @@ class Engine:
     def squared_norm(self, e: Edge) -> float:
         if is_zero(e.label):
             return 0.0
-        return abs(e.label.scalar) ** 2 * self._norm_node(e.target)
+        ln = 2.0 * math.log(abs(e.label.scalar)) + self._weights(e.target)[0]
+        return math.exp(ln)
 
-    def _norm_node(self, v) -> float:
-        """Squared norm of |v>, cached per node.  Children are done first
-        from an explicit stack, so depth is not bounded by recursion."""
-        if v.index == 0:
-            return 1.0
-        cache = self._norm_cache
+    def _weights(self, v) -> tuple[float, float]:
+        """(ln of the squared norm of |v>, probability that v's top qubit
+        reads 1), cached per node.  Log norms do not overflow at any depth,
+        and a zero branch weighs -inf, so p1 is exactly 0 or 1 when a branch
+        is empty.  Children are done first from an explicit stack, so depth
+        is not bounded by recursion."""
+        table = self._weight_table
         stack = [v]
         while stack:
             u = stack[-1]
-            if u.nid in cache:
+            if u.nid in table:
                 stack.pop()
                 continue
-            todo = [
-                c.target
-                for c in (u.low, u.high)
-                if not is_zero(c.label) and c.target.index and c.target.nid not in cache
-            ]
+            todo = [c.target for c in (u.low, u.high) if c.target.nid not in table]
             if todo:
                 stack.extend(todo)
                 continue
             stack.pop()
-            cache[u.nid] = self.squared_norm(u.low) + self.squared_norm(u.high)
-        return cache[v.nid]
-
-    def _snp(self, e: Edge, y: int, k: int) -> float:
-        """Squared norm of (projector onto qubit k = y) |e>."""
-        if is_zero(e.label):
-            return 0.0
-        yp = y ^ ((e.label.x >> (k - 1)) & 1)
-        return abs(e.label.scalar) ** 2 * self._snp_node(e.target, yp, k)
-
-    def _snp_node(self, v, y: int, k: int) -> float:
-        key = (v.nid, y, k)
-        got = self._snp_cache.get(key)
-        if got is None:
-            if v.index == k:
-                got = self.squared_norm(v.low if y == 0 else v.high)
-            else:
-                got = self._snp(v.low, y, k) + self._snp(v.high, y, k)
-            self._snp_cache[key] = got
-        return got
+            w0, w1 = (
+                -math.inf
+                if is_zero(c.label)
+                else 2.0 * math.log(abs(c.label.scalar)) + table[c.target.nid][0]
+                for c in (u.low, u.high)
+            )
+            top = max(w0, w1)
+            ln = top + math.log(math.exp(w0 - top) + math.exp(w1 - top))
+            table[u.nid] = (ln, math.exp(w1 - ln))
+        return table[v.nid]
 
     def measurement_probability(self, e: Edge, k: int, y: int) -> float:
-        """Probability that qubit k of |e> reads y; builds no node."""
+        """Probability that qubit k of |e> reads y.
+
+        Walks down level by level, carrying the probability of each pair
+        (node, parity of the label X bits on qubit k along the path), since
+        an X or Y factor on qubit k flips the outcome below it.  Builds no
+        node and does not recurse."""
+        k, y = _index(k, "qubit"), _index(y, "outcome")
         if not 1 <= k <= e.target.index:
             raise EngineError(f"qubit {k} out of range")
         if y not in (0, 1):
             raise EngineError(f"outcome {y!r} is not 0 or 1")
-        norm = self.squared_norm(e)
-        if norm == 0.0:
+        if is_zero(e.label):
             raise EngineError("zero state has no measurement probabilities")
-        try:
-            p = self._snp(e, y, k) / norm
-        except RecursionError:
-            raise self._too_deep("measurement_probability") from None
+        self._weights(e.target)
+        table = self._weight_table
+        mass = {(e.target, (e.label.x >> (k - 1)) & 1): 1.0}
+        for _ in range(e.target.index - k):
+            below: dict = {}
+            for (v, par), m in mass.items():
+                p1 = table[v.nid][1]
+                for c, p in ((v.low, 1.0 - p1), (v.high, p1)):
+                    if p:
+                        key = (c.target, par ^ ((c.label.x >> (k - 1)) & 1))
+                        below[key] = below.get(key, 0.0) + m * p
+            mass = below
+        p = 0.0
+        for (v, par), m in mass.items():
+            p1 = table[v.nid][1]
+            p += m * (p1 if par ^ y else 1.0 - p1)
         return min(max(p, 0.0), 1.0)
 
     def sample(self, rng, e: Optional[Edge] = None) -> str:
         """One full measurement in the computational basis; leftmost bit is
         the top qubit.
 
-        Walks down one path from the root: at each level the 0-branch is
-        taken with probability |branch 0|^2 / |current edge|^2, drawn with
-        one ``rng.random()``, and the walk goes on in the chosen branch.
-        Only node norms are computed (and cached); no node is created."""
+        Walks down one path from the root, taking branch 0 with its
+        probability from the node's weights (p1 swapped to 1 - p1 when the
+        label has an X or Y on that qubit), drawn with one ``rng.random()``.
+        Only node weights are computed (and cached); no node is created."""
         cur = self.root if e is None else e
-        norm = self.squared_norm(cur)
-        if norm == 0.0:
+        if is_zero(cur.label):
             raise EngineError("zero state has no measurement probabilities")
+        self._weights(cur.target)
+        table = self._weight_table
         bits = []
         while cur.target.index:
-            low = self.store.follow(cur, 0)
-            n0 = self.squared_norm(low)
-            nxt = low if rng.random() < n0 / norm else self.store.follow(cur, 1)
-            if is_zero(nxt.label):
-                # n0 / norm can round to just under 1 when branch 1 is empty
-                nxt = low
-            norm = n0 if nxt is low else self.squared_norm(nxt)
-            bits.append("0" if nxt is low else "1")
-            cur = nxt
+            v = cur.target
+            p1 = table[v.nid][1]
+            p0 = p1 if (cur.label.x >> (v.index - 1)) & 1 else 1.0 - p1
+            b = 0 if rng.random() < p0 else 1
+            bits.append("01"[b])
+            cur = self.store.follow(cur, b)
         return "".join(bits)
 
     # -- top-level driver ---------------------------------------------------
@@ -670,7 +664,7 @@ class Engine:
         out of recursion depth raises EngineError and leaves the root as it
         was."""
         name = name.lower()
-        self._check_qubits(qubits)
+        qubits = self._check_qubits(qubits)
         self.stats.gate_count += 1
         try:
             e = self._dispatch(name, qubits)
@@ -706,8 +700,10 @@ class Engine:
     def run_mcx(self, controls: Iterable[tuple[int, int]], target: int) -> None:
         """Multi-controlled X on the current root, with gate bookkeeping;
         ``controls`` holds (qubit, wanted bit) pairs."""
-        controls = tuple(controls)
-        self._check_qubits((target,) + tuple(q for q, _ in controls))
+        controls = tuple(
+            (_index(q, "qubit"), _index(want, "wanted bit")) for q, want in controls
+        )
+        target = self._check_qubits((target,) + tuple(q for q, _ in controls))[0]
         if any(want not in (0, 1) for _, want in controls):
             raise EngineError("mcx wanted bits must be 0 or 1")
         self.stats.gate_count += 1
@@ -718,8 +714,9 @@ class Engine:
         self.set_root(e)
 
     def _too_deep(self, name: str) -> EngineError:
-        # the descents, Add, Apply and the probability DP recurse once per
-        # level, so the interpreter's recursion limit caps the qubit count
+        # the descents, Add and Apply recurse once per level, so the
+        # interpreter's recursion limit caps the qubit count of a gate;
+        # measurement walks down without recursing
         return EngineError(
             f"{name} on {self.n} qubits ({self.mode} mode) exceeds the "
             f"recursion limit of {sys.getrecursionlimit()}; the diagram "

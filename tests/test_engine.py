@@ -717,16 +717,54 @@ def test_limdd_descents_past_the_recursion_limit_are_engine_errors():
 
 
 def test_measurement_past_the_recursion_limit():
-    # sampling walks down without recursing; the per-qubit probability
-    # recurses and reports the limit as an EngineError
+    # sampling and the per-qubit probability both walk down without
+    # recursing
     eng = Engine(1000)
     eng.run_gate("h", 1000)
     eng.run_gate("x", 1)
     rng = random.Random(1)
     shots = {eng.sample(rng) for _ in range(8)}
     assert shots == {"0" + "0" * 998 + "1", "1" + "0" * 998 + "1"}
-    with pytest.raises(EngineError, match="1000 qubits"):
-        eng.measurement_probability(eng.root, 1, 1)
+    assert eng.measurement_probability(eng.root, 1, 1) == 1.0
+    assert eng.measurement_probability(eng.root, 1000, 0) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("n", [1030, 1100])
+def test_measurement_where_absolute_norms_overflow(n):
+    # |+>^n as a qmdd tower: the unnormalized node norms reach 2^n, past
+    # the float range from n = 1024
+    eng = Engine(n, mode="qmdd")
+    e = Edge(pl.identity(0), eng.store.leaf)
+    for _ in range(n):
+        e = eng.store.make_edge(e, e)
+    eng.set_root(scale_edge(2 ** (-n / 2), e))
+    assert eng.squared_norm(eng.root) == pytest.approx(1.0)
+    rng = np.random.default_rng(5)
+    tops = {eng.sample(rng)[:7] for _ in range(64)}
+    assert len(tops) > 1
+    assert eng.measurement_probability(eng.root, n, 1) == pytest.approx(0.5)
+    assert eng.measurement_probability(eng.root, 1, 0) == pytest.approx(0.5)
+
+
+def test_non_integer_arguments_are_engine_errors():
+    for mode in ("limdd", "qmdd"):
+        eng = Engine(2, mode=mode)
+        root = eng.root
+        for call in (
+            lambda: eng.run_gate("x", 1.0),
+            lambda: eng.run_gate("t", 1.5),
+            lambda: eng.run_mcx([(2.0, 1)], 1),
+            lambda: eng.run_mcx([(2, 1.0)], 1),
+            lambda: eng.run_mcx([(2, 1)], 1.0),
+            lambda: eng.measurement_probability(root, 1.0, 0),
+            lambda: eng.measurement_probability(root, 1, 0.0),
+        ):
+            with pytest.raises(EngineError):
+                call()
+        assert eng.root is root
+        # NumPy integers are integers
+        eng.run_gate("x", np.int64(1))
+        assert eng.measurement_probability(eng.root, np.int64(1), np.int8(1)) == 1.0
 
 
 def test_stats_output_shape():
