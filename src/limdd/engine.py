@@ -19,11 +19,17 @@ In "limdd" mode every gate takes a structural route:
     under an X or Y factor on its qubit,
   * multi-controlled X is built from projections and Adds.
 
-A "qmdd" engine forces the identity label group and routes every gate
-through generic matrix application of a 2n-level gate diagram, since the
-structural updates write Pauli factors onto labels.  Its nodes all have the
-trivial stabilizer group, so its cache keys are the labels themselves and
-it never runs a stabilizer elimination (see ``DiagramStore``).
+A "qmdd" engine forces the identity label group and routes every gate,
+multi-controlled X included, through generic matrix application of a
+2n-level gate diagram, since the structural updates write Pauli factors
+onto labels.  The identity on m qubits is one canonical node, kept per
+level (``_identity``); the gate diagrams are built on it, and an identity
+block met during the apply returns the operand as it is, so the apply
+never descends below a gate's lowest qubit, nor into the control-0 half of
+a controlled gate.  Multi-controlled X is the diagram I - P + X_t P, P the
+tensor product of the control projectors.  Its nodes all have the trivial
+stabilizer group, so its cache keys are the labels themselves and it never
+runs a stabilizer elimination (see ``DiagramStore``).
 
 Add, the butterfly and the cross-select share one computed table, keyed by
 both targets and the root label of the first label's inverse times the
@@ -87,6 +93,9 @@ MAT_1Q = {
     **{name: np.diag([1.0, w]) for name, (w, _) in _PHASE_GATES.items()},
 }
 
+# projectors onto |0> and |1> (control blocks of gate diagrams)
+_PROJ = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
 
 class EngineError(Exception):
     pass
@@ -105,7 +114,10 @@ class EngineStats:
     """Gate and cache counters.  A butterfly (Hadamard's sum and difference
     in one descent) counts as two Adds in ``add_calls`` and in the hit or
     miss count, the two Adds it stands for; the cross-select of upward CX
-    counts in no Add counter."""
+    counts in no Add counter.  An identity block that ``apply_gate``
+    returns as it is (qmdd mode) counts as an apply call, and as neither an
+    apply-cache hit nor a miss.  The Adds that build a qmdd multi-controlled
+    X diagram (once per control pattern and target) count as Adds."""
 
     gate_count: int = 0
     apply_calls: int = 0
@@ -176,6 +188,7 @@ class Engine:
         self._weight_table: dict[int, tuple[float, float]] = {0: (0.0, 0.0)}
         self._reach_cache: dict = {}
         self._gate_dd_cache: dict = {}
+        self._ids = [Edge(identity(0), self.store.leaf)]   # see _identity
         self.set_root(e)
 
     # -- core combinators ---------------------------------------------------
@@ -328,7 +341,9 @@ class Engine:
         return self.store.make_edge(e0, e1)
 
     def apply_gate(self, u: Edge, e: Edge) -> Edge:
-        """Apply the matrix held by gate edge ``u`` (2k levels) to ``e``."""
+        """Apply the matrix held by gate edge ``u`` (2k levels) to ``e``.  An
+        identity block (the canonical node of ``_identity``) returns ``e``
+        scaled by u's label, with no cache lookup and no descent."""
         self.stats.apply_calls += 1
         if is_zero(e.label):
             return e
@@ -337,8 +352,9 @@ class Engine:
             raise EngineError("gate edge level must be twice the state level")
         if is_zero(u.label):
             return Edge(zero(lvl), e.target)
-        if lvl == 0:
-            return Edge(mul(u.label, e.label), self.store.leaf)
+        ids = self._ids
+        if lvl < len(ids) and u.target is ids[lvl].target:
+            return Edge(scale(u.label.scalar, e.label), e.target)
         disc = None
         if self.use_caches:
             # labels are scalars here (gate diagrams need an identity-group
@@ -382,13 +398,26 @@ class Engine:
         elif name in ("cx", "cz") and len(qubits) == 2:
             # |0><0|_c (x) I + |1><1|_c (x) U_t, CZ's control on the higher qubit
             c, t = (max(qubits), min(qubits)) if name == "cz" else qubits
-            p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-            terms = ({c: p0}, {c: p1, t: MAT_1Q[name[1]]})
+            terms = ({c: _PROJ[0]}, {c: _PROJ[1], t: MAT_1Q[name[1]]})
         else:
             raise EngineError(f"unsupported gate {name!r} on {len(qubits)} qubits")
         res = self._gate_diagram(terms)
         self._gate_dd_cache[key] = res
         return res
+
+    def _mcx_to_dd(self, controls: tuple, t: int) -> Edge:
+        """2n-level diagram of the multi-controlled X, I - P + X_t P with P
+        the tensor product of the control projectors (qmdd mode).
+        ``controls`` holds (qubit, wanted bit) pairs checked by ``run_mcx``."""
+        key = ("mcx", controls, t)
+        got = self._gate_dd_cache.get(key)
+        if got is None:
+            proj = {q: _PROJ[want] for q, want in controls}
+            p = self._gate_diagram((proj,))
+            xp = self._gate_diagram(({**proj, t: MAT_1Q["x"]},))
+            got = self.add(self.add(self._identity(self.n), scale_edge(-1.0, p)), xp)
+            self._gate_dd_cache[key] = got
+        return got
 
     def _check_qubits(self, qubits: Sequence[int]) -> tuple:
         """The qubits as ints; raises unless they are distinct and in 1..n."""
@@ -409,34 +438,49 @@ class Engine:
             b = Edge(zero(a.target.index), a.target)
         return self.store.make_edge(a, b)
 
+    def _gate_node(self, parts) -> Edge:
+        """One qubit level of a gate diagram: the sum of the (2x2 block,
+        edge below) parts, cell by cell, so the blocks' supports must be
+        disjoint."""
+        cells = [[None, None], [None, None]]
+        for m, e in parts:
+            for r, row in enumerate(m.tolist()):
+                for c, s in enumerate(row):
+                    if s:
+                        cells[r][c] = scale_edge(s, e)
+        return self._gate_pair(*(self._gate_pair(*row) for row in cells))
+
+    def _identity(self, m: int) -> Edge:
+        """The identity on m qubits: one canonical node at level 2m, built
+        once and kept, so ``apply_gate`` recognizes it by node."""
+        ids = self._ids
+        while len(ids) <= m:
+            ids.append(self._gate_node([(MAT_1Q["i"], ids[-1])]))
+        return ids[m]
+
     def _gate_diagram(self, terms: Sequence[dict]) -> Edge:
         """Gate diagram of a sum of tensor products, built level by level
         from the bottom; each term maps qubits to 2x2 blocks, the identity
-        elsewhere.  Below every qubit a term acts on, the terms share one
-        identity chain.  On the highest such qubit the terms' blocks must
-        have disjoint support: the sum is taken cell by cell there, with no
-        Add, and one diagram goes on above it."""
-
-        def node(parts) -> Edge:
-            cells = [[None, None], [None, None]]
-            for m, e in parts:
-                for r, row in enumerate(m.tolist()):
-                    for c, s in enumerate(row):
-                        if s:
-                            cells[r][c] = scale_edge(s, e)
-            return self._gate_pair(*(self._gate_pair(*row) for row in cells))
-
-        lo = min(q for t in terms for q in t)
-        top = max(q for t in terms for q in t)
-        es = [Edge(identity(0), self.store.leaf)] * len(terms)
+        elsewhere.  Where a term has only identity blocks from the bottom
+        up, its diagram is the canonical ``_identity``, which the terms
+        share.  On the highest qubit any term acts on, the terms' blocks
+        must have disjoint support: the sum is taken cell by cell there,
+        with no Add, and one diagram goes on above it."""
+        eye = MAT_1Q["i"]
+        top = max((q for t in terms for q in t), default=0)
+        es = [self._ids[0]] * len(terms)
         for level in range(1, self.n + 1):
-            parts = [(t.get(level, MAT_1Q["i"]), e) for t, e in zip(terms, es)]
-            if level < lo:
-                es = [node(parts[:1])] * len(terms)
-            elif level < top:
-                es = [node([p]) for p in parts]
+            parts = [(t.get(level, eye), e) for t, e in zip(terms, es)]
+            if len(parts) > 1 and level >= top:
+                es, terms = [self._gate_node(parts)], ({},)
             else:
-                es, terms = [node(parts)], ({},)
+                below = self._ids[level - 1] if level <= len(self._ids) else None
+                es = [
+                    self._identity(level)
+                    if m is eye and e is below
+                    else self._gate_node([(m, e)])
+                    for m, e in parts
+                ]
         return es[0]
 
     # -- structural gate paths ---------------------------------------------
@@ -699,7 +743,8 @@ class Engine:
 
     def run_mcx(self, controls: Iterable[tuple[int, int]], target: int) -> None:
         """Multi-controlled X on the current root, with gate bookkeeping;
-        ``controls`` holds (qubit, wanted bit) pairs."""
+        ``controls`` holds (qubit, wanted bit) pairs.  qmdd mode applies its
+        gate diagram, limdd mode ``apply_mcx``."""
         controls = tuple(
             (_index(q, "qubit"), _index(want, "wanted bit")) for q, want in controls
         )
@@ -708,7 +753,10 @@ class Engine:
             raise EngineError("mcx wanted bits must be 0 or 1")
         self.stats.gate_count += 1
         try:
-            e = self.apply_mcx(self.root, controls, target)
+            if self.mode == "qmdd":
+                e = self.apply_gate(self._mcx_to_dd(controls, target), self.root)
+            else:
+                e = self.apply_mcx(self.root, controls, target)
         except RecursionError:
             raise self._too_deep("mcx") from None
         self.set_root(e)

@@ -10,9 +10,16 @@ import numpy as np
 import pytest
 
 import limdd.pauli as pl
-from limdd.circuit import GATE_ARITY, Circuit, build_engine, dense_simulate
+from limdd.circuit import (
+    GATE_ARITY,
+    Circuit,
+    build_engine,
+    compare_modes,
+    dense_simulate,
+)
 from limdd.diagram import Edge, scale_edge
 from limdd.engine import Engine, EngineError
+from limdd.states import w_state_as_circuit
 from oracles import (
     H2,
     S2,
@@ -619,6 +626,79 @@ def test_gate_to_dd_embeds_in_wider_registers():
     eng = Engine(4, mode="qmdd")
     u = eng.gate_to_dd("cz", (3, 1))
     assert np.allclose(gate_matrix(eng, u, 4), cz_matrix(4, 3, 1), atol=1e-12)
+
+
+def test_qmdd_mcx_diagram_matches_dense():
+    n = 3
+    eng = Engine(n, mode="qmdd")
+    for controls, t in (((), 2), (((3, 1),), 1), (((1, 0), (3, 1)), 2), (((2, 0),), 3)):
+        want = np.zeros((1 << n, 1 << n))
+        for i in range(1 << n):
+            hit = all(((i >> (q - 1)) & 1) == b for q, b in controls)
+            want[i ^ (1 << (t - 1)) if hit else i, i] = 1.0
+        u = eng._mcx_to_dd(controls, t)
+        assert eng._mcx_to_dd(controls, t) is u
+        assert np.allclose(gate_matrix(eng, u, n), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_qmdd_w_states_match_limdd(n):
+    c = w_state_as_circuit(n)
+    if n <= 14:
+        assert compare_modes(c, "limdd", "qmdd") < 1e-10
+    else:
+        got = build_engine(c, "qmdd").to_dense()
+        assert np.max(np.abs(got - build_engine(c, "limdd").to_dense())) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_qmdd_identity_gate_returns_the_root_node(k):
+    eng = Engine(5, mode="qmdd")
+    eng.run_gate("h", 2)
+    eng.run_gate("cx", 2, 4)
+    before, calls = eng.root, eng.stats.apply_calls
+    eng.run_gate("i", k)
+    assert eng.root.target is before.target
+    assert eng.stats.apply_calls - calls <= 1
+    assert np.allclose(eng.to_dense(), eng.store.to_dense(before), atol=1e-12)
+
+
+@pytest.mark.parametrize("gate", ["x", "cx", "cz"])
+def test_qmdd_apply_calls_on_top_gates_do_not_grow_with_n(gate):
+    # identity blocks below the gate (and the control-0 half of a downward
+    # cx or cz) return the operand without descending
+    calls = []
+    for n in (8, 64):
+        eng = Engine(n, mode="qmdd")
+        eng.run_gate(gate, *((n,) if gate == "x" else (n, n - 1)))
+        calls.append(eng.stats.apply_calls)
+    assert calls[0] == calls[1]
+
+
+def test_qmdd_top_hadamard_past_the_recursion_limit():
+    eng = Engine(600, mode="qmdd")
+    eng.run_gate("h", 600)
+    assert eng.measurement_probability(eng.root, 600, 0) == 0.5
+    assert eng.node_count() == 600
+
+
+@pytest.mark.parametrize("use_caches", [True, False])
+def test_qmdd_random_circuits_match_dense_simulate(use_caches):
+    rng = np.random.default_rng(41)
+    names = ("h", "s", "sdg", "t", "tdg", "x", "y", "z")
+    for n in range(2, 8):
+        ops = []
+        for _ in range(25):
+            if rng.random() < 0.4:
+                a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+                ops.append(("cx" if rng.random() < 0.6 else "cz", (a, b)))
+            else:
+                ops.append((names[int(rng.integers(0, 8))], (int(rng.integers(0, n)),)))
+        eng = Engine(n, mode="qmdd", use_caches=use_caches)
+        for name, qs in ops:
+            eng.run_gate(name, *(n - q for q in qs))
+        ref = dense_simulate(Circuit(n, tuple(ops)))
+        assert np.max(np.abs(eng.to_dense() - ref)) < 1e-10
 
 
 def test_mcx_matches_dense():
