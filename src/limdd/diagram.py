@@ -387,7 +387,7 @@ class DiagramStore:
             return rref_insert(_prefix_i(g0), [single(m, m, "Z")])
         a1 = v.high.label
         v1 = v.high.target
-        g1 = self.get_stabilizer_gen_set(v1)
+        g1 = g0 if v1 is v0 else self.get_stabilizer_gen_set(v1)
         if not (g0.gens or g1.gens):
             # no meet and no opposite element; at most one swap row holds
             rows = _swap_rows(a1, None) if v0 is v1 else []

@@ -34,9 +34,10 @@ runs a stabilizer elimination (see ``DiagramStore``).
 Add, the butterfly and the cross-select share one computed table, keyed by
 both targets and the root label of the first label's inverse times the
 second.  Every structural route, the projections behind multi-controlled X
-included, is one ``_descend`` that recurses once per level, as do the
-two-operand descents; a run out of recursion depth is reported as an
-``EngineError``.
+included, is one ``_descend``.  The descents, Add and ApplyGate run on one
+explicit stack (``_run``), so a gate reaches any level.  Each takes its fast
+exits (a zero operand, the leaf, a cache hit, a qmdd identity block) as a
+plain call; only a miss returns a generator, which yields its children.
 
 Measurement reads one per-node table, ``_weights``: the log of the node's
 squared norm and the probability that its top qubit reads 1, filled from an
@@ -52,8 +53,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import sys
 from dataclasses import asdict, dataclass
+from types import GeneratorType
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -149,6 +150,13 @@ def _proj_step(lbl: PauliLim, op: tuple) -> tuple:
     return lbl, ("proj", k, b ^ ((lbl.x >> (k - 1)) & 1))
 
 
+def _unfold(s: Edge, d: Edge, fold: bool, swap: bool) -> tuple:
+    """Undo the butterfly's operand swap and sign fold on (sum, difference)."""
+    if fold:
+        s, d = d, s
+    return s, scale_edge(-1.0, d) if swap else d
+
+
 def _conj_step(circ):
     """Clifford U past the label P: U P = (U P U^dagger) U."""
     return lambda lbl, op: (conjugate(lbl, circ), op)
@@ -193,8 +201,32 @@ class Engine:
 
     # -- core combinators ---------------------------------------------------
 
+    @staticmethod
+    def _run(step):
+        """Drive a step to its result on an explicit stack.
+
+        A step is a finished result or a generator that yields the steps it
+        needs, receives their results and returns its own, so a descent
+        through any number of levels uses one Python frame.  ``step`` holds
+        a step to start or the result for the generator on top."""
+        stack = []
+        while True:
+            if type(step) is GeneratorType:
+                stack.append(step)
+                step = None
+            elif not stack:
+                return step
+            try:
+                step = stack[-1].send(step)
+            except StopIteration as done:
+                stack.pop()
+                step = done.value
+
     def add(self, e: Edge, f: Edge) -> Edge:
         """Edge for |e> + |f| at the same level; Zero when the sum vanishes."""
+        return self._run(self._add(e, f))
+
+    def _add(self, e: Edge, f: Edge):
         self.stats.add_calls += 1
         if is_zero(e.label):
             return f
@@ -215,16 +247,19 @@ class Engine:
                 self.stats.add_cache_hits += 1
                 return Edge(mul(e.label, got.label), got.target)
         self.stats.add_cache_misses += 1
-        a0 = self.add(self.store.follow(e, 0), self.store.follow(f, 0))
-        a1 = self.add(self.store.follow(e, 1), self.store.follow(f, 1))
+        return self._add_miss(e, f, key)
+
+    def _add_miss(self, e: Edge, f: Edge, key):
+        a0 = yield self._add(self.store.follow(e, 0), self.store.follow(f, 0))
+        a1 = yield self._add(self.store.follow(e, 1), self.store.follow(f, 1))
         res = self._node(a0, a1, e.target)
         if key is not None:
             self._add_cache.put(*key, Edge(mul(inverse(e.label), res.label), res.target))
         return res
 
-    def _butterfly(self, e: Edge, f: Edge) -> tuple[Edge, Edge]:
+    def _butterfly(self, e: Edge, f: Edge):
         """(|e> + |f>, |e> - |f>) at one level in one descent: each level
-        follows both operands once and recurses on the child pairs.
+        follows both operands once and descends on the child pairs.
 
         The entry of (e, f) is keyed as ``add`` keys it; a key scalar in the
         lower half-plane is folded onto (e, -f), whose sum and difference
@@ -254,27 +289,26 @@ class Engine:
                 f, ks = scale_edge(-1.0, f), -ks
             key = (disc, ks)
             got = self._add_cache.get(*key)
-        if got is not None:
-            st.add_cache_hits += 2
-            s, d = (Edge(mul(e.label, g.label), g.target) for g in got)
-        else:
+        if got is None:
             st.add_cache_misses += 2
-            s0, d0 = self._butterfly(self.store.follow(e, 0), self.store.follow(f, 0))
-            s1, d1 = self._butterfly(self.store.follow(e, 1), self.store.follow(f, 1))
-            s = self._node(s0, s1, e.target)
-            d = self._node(d0, d1, e.target)
-            if key is not None:
-                inv = inverse(e.label)
-                self._add_cache.put(
-                    *key, tuple(Edge(mul(inv, r.label), r.target) for r in (s, d))
-                )
-        if fold:
-            s, d = d, s
-        if swap:
-            d = scale_edge(-1.0, d)
-        return s, d
+            return self._butterfly_miss(e, f, key, fold, swap)
+        st.add_cache_hits += 2
+        s, d = (Edge(mul(e.label, g.label), g.target) for g in got)
+        return _unfold(s, d, fold, swap)
 
-    def _cross(self, e: Edge, f: Edge, c: int) -> Edge:
+    def _butterfly_miss(self, e: Edge, f: Edge, key, fold: bool, swap: bool):
+        s0, d0 = yield self._butterfly(self.store.follow(e, 0), self.store.follow(f, 0))
+        s1, d1 = yield self._butterfly(self.store.follow(e, 1), self.store.follow(f, 1))
+        s = self._node(s0, s1, e.target)
+        d = self._node(d0, d1, e.target)
+        if key is not None:
+            inv = inverse(e.label)
+            self._add_cache.put(
+                *key, tuple(Edge(mul(inv, r.label), r.target) for r in (s, d))
+            )
+        return _unfold(s, d, fold, swap)
+
+    def _cross(self, e: Edge, f: Edge, c: int):
         """P0|e> + P1|f> at one level, P_b the projector onto qubit c = b.
 
         The descent follows both operands down to level c and takes branch
@@ -283,10 +317,10 @@ class Engine:
         x), an X or Y factor of A on qubit c swaps the roles of e and f, and
         that bit is part of the key.  When one term is zero the other is a
         projection, which is cached per node rather than per pair."""
-        if not self._reaches(e, c, 0):
-            return self._project(f, c, 1)
-        if not self._reaches(f, c, 1):
-            return self._project(e, c, 0)
+        if not (yield self._reaches(e, c, 0)):
+            return (yield self._project(f, c, 1))
+        if not (yield self._reaches(f, c, 1)):
+            return (yield self._project(e, c, 0))
         key = None
         if self.use_caches:
             flip = (e.label.x >> (c - 1)) & 1
@@ -297,14 +331,14 @@ class Engine:
         if e.target.index == c:
             r0, r1 = self.store.follow(e, 0), self.store.follow(f, 1)
         else:
-            r0 = self._cross(self.store.follow(e, 0), self.store.follow(f, 0), c)
-            r1 = self._cross(self.store.follow(e, 1), self.store.follow(f, 1), c)
+            r0 = yield self._cross(self.store.follow(e, 0), self.store.follow(f, 0), c)
+            r1 = yield self._cross(self.store.follow(e, 1), self.store.follow(f, 1), c)
         res = self._node(r0, r1, e.target)
         if key is not None:
             self._add_cache.put(*key, Edge(mul(inverse(e.label), res.label), res.target))
         return res
 
-    def _reaches(self, e: Edge, k: int, b: int) -> bool:
+    def _reaches(self, e: Edge, k: int, b: int):
         """Whether |e> has a nonzero amplitude with qubit k = b; exact (no
         float test), cached per node."""
         if is_zero(e.label):
@@ -314,11 +348,14 @@ class Engine:
         key = (v.nid, k, b)
         got = self._reach_cache.get(key)
         if got is None:
-            if v.index == k:
-                got = not is_zero((v.high if b else v.low).label)
-            else:
-                got = self._reaches(v.low, k, b) or self._reaches(v.high, k, b)
-            self._reach_cache[key] = got
+            if v.index != k:
+                return self._reaches_miss(v, k, b, key)
+            got = self._reach_cache[key] = not is_zero((v.high if b else v.low).label)
+        return got
+
+    def _reaches_miss(self, v, k: int, b: int, key: tuple):
+        got = (yield self._reaches(v.low, k, b)) or (yield self._reaches(v.high, k, b))
+        self._reach_cache[key] = got
         return got
 
     def _pair_key(self, tag, e: Edge, f: Edge) -> tuple:
@@ -344,6 +381,9 @@ class Engine:
         """Apply the matrix held by gate edge ``u`` (2k levels) to ``e``.  An
         identity block (the canonical node of ``_identity``) returns ``e``
         scaled by u's label, with no cache lookup and no descent."""
+        return self._run(self._apply(u, e))
+
+    def _apply(self, u: Edge, e: Edge):
         self.stats.apply_calls += 1
         if is_zero(e.label):
             return e
@@ -365,14 +405,17 @@ class Engine:
                 self.stats.apply_cache_hits += 1
                 return scale_edge(u.label.scalar * e.label.scalar, got)
         self.stats.apply_cache_misses += 1
-        cols = [self.store.follow(e, c) for c in (0, 1)]
+        return self._apply_miss(u, e, disc)
+
+    def _apply_miss(self, u: Edge, e: Edge, disc):
+        follow = self.store.follow
+        cols = [follow(e, c) for c in (0, 1)]
         rows = []
         for r in (0, 1):
-            ur = self.store.follow(u, r)
-            parts = [
-                self.apply_gate(self.store.follow(ur, c), cols[c]) for c in (0, 1)
-            ]
-            rows.append(self.add(parts[0], parts[1]))
+            ur = follow(u, r)
+            p0 = yield self._apply(follow(ur, 0), cols[0])
+            p1 = yield self._apply(follow(ur, 1), cols[1])
+            rows.append((yield self._add(p0, p1)))
         res = self._node(rows[0], rows[1], e.target)
         if disc is not None:
             self._apply_cache[disc] = scale_edge(
@@ -490,28 +533,31 @@ class Engine:
         self._require_pauli_mode()
         return Edge(mul(p, e.label), e.target)
 
-    def _descend(self, e: Edge, level: int, op: tuple, step, at_node) -> Edge:
+    def _descend(self, e: Edge, level: int, op: tuple, step, at_node):
         """Push gate ``op`` acting on qubits <= level down to its level.
 
         ``step(label, op)`` returns ``(label', op')`` with op . label =
-        label' . op', so op' is the gate the subtree sees; ``at_node(v, op)``
-        applies the gate at a node of its level.  Cached per (gate, node).
-        Only a projection can map both children to zero; the node's result
-        is then the zero edge."""
+        label' . op', so op' is the gate the subtree sees; the step
+        ``at_node(v, op)`` applies the gate at a node of its level.  Cached
+        per (gate, node).  Only a projection can map both children to zero;
+        the node's result is then the zero edge."""
         if is_zero(e.label):
             return e
         lbl, op = step(e.label, op)
-        v = e.target
-        key = (op, v.nid)
+        key = (op, e.target.nid)
         res = self._unary_cache.get(key)
         if res is None:
-            if v.index == level:
-                res = at_node(v, op)
-            else:
-                lo = self._descend(v.low, level, op, step, at_node)
-                hi = self._descend(v.high, level, op, step, at_node)
-                res = self._node(lo, hi, v)
-            self._unary_cache[key] = res
+            return self._descend_miss(lbl, e.target, op, key, level, step, at_node)
+        return Edge(mul(lbl, res.label), res.target)
+
+    def _descend_miss(self, lbl: PauliLim, v, op, key, level: int, step, at_node):
+        if v.index == level:
+            res = yield at_node(v, op)
+        else:
+            lo = yield self._descend(v.low, level, op, step, at_node)
+            hi = yield self._descend(v.high, level, op, step, at_node)
+            res = self._node(lo, hi, v)
+        self._unary_cache[key] = res
         return Edge(mul(lbl, res.label), res.target)
 
     def apply_phase(self, e: Edge, k: int, gate: str) -> Edge:
@@ -522,18 +568,18 @@ class Engine:
             w = _PHASE_GATES[op[0]][0]
             return self.store.make_edge(v.low, scale_edge(w, v.high))
 
-        return self._descend(e, k, (gate, k), _phase_step, at_node)
+        return self._run(self._descend(e, k, (gate, k), _phase_step, at_node))
 
     def apply_hadamard(self, e: Edge, k: int) -> Edge:
         self._require_pauli_mode()
 
         def at_node(v, op):
-            a0, a1 = self._butterfly(v.low, v.high)
+            a0, a1 = yield self._butterfly(v.low, v.high)
             if is_zero(a0.label) and is_zero(a1.label):
                 raise EngineError("hadamard produced the zero state")
             return scale_edge(_SQRT1_2, self.store.make_edge(a0, a1))
 
-        return self._descend(e, k, ("h", k), _conj_step((("h", k),)), at_node)
+        return self._run(self._descend(e, k, ("h", k), _conj_step((("h", k),)), at_node))
 
     def apply_downward_cpauli(self, e: Edge, letter: str, c: int, t: int) -> Edge:
         """Controlled Pauli with the control above the target (c > t)."""
@@ -554,7 +600,9 @@ class Engine:
                 v.low, Edge(mul(q, v.high.label), v.high.target)
             )
 
-        return self._descend(e, c, ("c" + letter, c, t), _conj_step(circ), at_node)
+        return self._run(
+            self._descend(e, c, ("c" + letter, c, t), _conj_step(circ), at_node)
+        )
 
     def apply_upward_cnot(self, e: Edge, c: int, t: int) -> Edge:
         """CX with the target above the control (t > c).  At a node of the
@@ -566,13 +614,15 @@ class Engine:
             raise EngineError("upward form needs target above control")
 
         def at_node(v, op):
-            a0 = self._cross(v.low, v.high, c)
-            a1 = self._cross(v.high, v.low, c)
+            a0 = yield self._cross(v.low, v.high, c)
+            a1 = yield self._cross(v.high, v.low, c)
             if is_zero(a0.label) and is_zero(a1.label):
                 raise EngineError("cnot produced the zero state")
             return self.store.make_edge(a0, a1)
 
-        return self._descend(e, t, ("cxu", c, t), _conj_step((("cx", c, t),)), at_node)
+        return self._run(
+            self._descend(e, t, ("cxu", c, t), _conj_step((("cx", c, t),)), at_node)
+        )
 
     def apply_mcx(self, e: Edge, controls: Iterable[tuple[int, int]], t: int) -> Edge:
         """Multi-controlled X via psi - P psi + X_t P psi, P the projector
@@ -582,14 +632,14 @@ class Engine:
         for q, want in controls:
             if q == t:
                 raise EngineError("target cannot be a control")
-            proj = self._project(proj, q, want)
+            proj = self._run(self._project(proj, q, want))
             if is_zero(proj.label):
                 return e
         flipped = Edge(mul(single(self.n, t, "X"), proj.label), proj.target)
         return self.add(self.add(e, scale_edge(-1.0, proj)), flipped)
 
-    def _project(self, e: Edge, k: int, b: int) -> Edge:
-        """(possibly zero) edge for the projection of |e> onto qubit k = b."""
+    def _project(self, e: Edge, k: int, b: int):
+        """Step to the (possibly zero) projection of |e> onto qubit k = b."""
 
         def at_node(v, op):
             kept = v.high if op[2] else v.low
@@ -704,17 +754,12 @@ class Engine:
     # -- top-level driver ---------------------------------------------------
 
     def run_gate(self, name: str, *qubits: int) -> None:
-        """Apply a named gate to the current root state.  A gate that runs
-        out of recursion depth raises EngineError and leaves the root as it
-        was."""
+        """Apply a named gate to the current root state.  A gate that raises
+        EngineError leaves the root as it was."""
         name = name.lower()
         qubits = self._check_qubits(qubits)
         self.stats.gate_count += 1
-        try:
-            e = self._dispatch(name, qubits)
-        except RecursionError:
-            raise self._too_deep(name) from None
-        self.set_root(e)
+        self.set_root(self._dispatch(name, qubits))
 
     def _dispatch(self, name: str, qubits: tuple) -> Edge:
         e = self.root
@@ -752,24 +797,11 @@ class Engine:
         if any(want not in (0, 1) for _, want in controls):
             raise EngineError("mcx wanted bits must be 0 or 1")
         self.stats.gate_count += 1
-        try:
-            if self.mode == "qmdd":
-                e = self.apply_gate(self._mcx_to_dd(controls, target), self.root)
-            else:
-                e = self.apply_mcx(self.root, controls, target)
-        except RecursionError:
-            raise self._too_deep("mcx") from None
+        if self.mode == "qmdd":
+            e = self.apply_gate(self._mcx_to_dd(controls, target), self.root)
+        else:
+            e = self.apply_mcx(self.root, controls, target)
         self.set_root(e)
-
-    def _too_deep(self, name: str) -> EngineError:
-        # the descents, Add and Apply recurse once per level, so the
-        # interpreter's recursion limit caps the qubit count of a gate;
-        # measurement walks down without recursing
-        return EngineError(
-            f"{name} on {self.n} qubits ({self.mode} mode) exceeds the "
-            f"recursion limit of {sys.getrecursionlimit()}; the diagram "
-            "descent recurses once per qubit"
-        )
 
     def set_root(self, e: Edge) -> None:
         """Make ``e`` the current state.  The one place that tracks the peak

@@ -136,54 +136,25 @@ def stabilizer_state(n: int, gates, mode: str = "limdd") -> Engine:
     return eng
 
 
-def w_state_circuit(n: int) -> list:
-    """Gate list preparing W_n from |0...0>, n a power of two.
+def w_state_as_circuit(n: int):
+    """Circuit (qubit 0 on top) preparing W_n from |0...0>, n a power of two.
 
     The top log n qubits (register A) go into uniform superposition; each
     non-one-hot pattern of A flips one low qubit (register B) through a
     multi-controlled X; finally each B qubit uncomputes the 1-bits of its
-    pattern.  Entries are ("h", q), ("mcx", ((q, want), ...), t), ("cx", c, t).
-    """
+    pattern."""
+    from .circuit import Circuit
+
     m = n.bit_length() - 1
     if n < 2 or (1 << m) != n:
         raise StateError("W circuit is defined for powers of two, n >= 2")
-    a_qubits = [n - i for i in range(m)]               # top down
-    b_qubits = list(range(n - m, 0, -1))
     patterns = [p for p in range(1 << m) if p.bit_count() != 1]
-    gates: list = [("h", q) for q in a_qubits]
-    for t, p in zip(b_qubits, patterns):
-        controls = tuple(
-            (a_qubits[i], (p >> (m - 1 - i)) & 1) for i in range(m)
-        )
-        gates.append(("mcx", controls, t))
-    for t, p in zip(b_qubits, patterns):
-        for i in range(m):
-            if (p >> (m - 1 - i)) & 1:
-                gates.append(("cx", t, a_qubits[i]))
-    return gates
-
-
-def w_state_engine(n: int) -> Engine:
-    eng = Engine(n)
-    for gate in w_state_circuit(n):
-        if gate[0] == "mcx":
-            eng.run_mcx(gate[1], gate[2])
-        else:
-            eng.run_gate(*gate)
-    return eng
-
-
-def w_state_as_circuit(n: int):
-    """The same gate list as a user-indexed Circuit (qubit 0 on top)."""
-    from .circuit import Circuit
-
-    ops = []
-    for gate in w_state_circuit(n):
-        if gate[0] == "mcx":
-            _, controls, t = gate
-            ops.append(("mcx", (n - t, *((n - q, want) for q, want in controls))))
-        else:
-            ops.append((gate[0], tuple(n - q for q in gate[1:])))
+    bits = [[(p >> (m - 1 - i)) & 1 for i in range(m)] for p in patterns]
+    ops: list = [("h", (a,)) for a in range(m)]
+    for t, pb in enumerate(bits, m):
+        ops.append(("mcx", (t, *enumerate(pb))))
+    for t, pb in enumerate(bits, m):
+        ops.extend(("cx", (t, a)) for a in range(m) if pb[a])
     return Circuit(n, tuple(ops))
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import limdd.pauli as pl
+from limdd.circuit import build_engine
 from limdd.diagram import DiagramStore, Edge
 from limdd.engine import Engine
 from limdd.pauli import GeneratorSet, PauliLim, is_zero, mul
@@ -24,7 +25,7 @@ from limdd.states import (
     coset_state,
     Coset,
     graph_state,
-    w_state_engine,
+    w_state_as_circuit,
 )
 from limdd.stabrank import search_with_restarts
 
@@ -231,7 +232,7 @@ def test_w_state_peak_size_and_amplitudes():
     peaks = {}
     ok = True
     for n in (4, 8, 16, 32):
-        eng = w_state_engine(n)
+        eng = build_engine(w_state_as_circuit(n), "limdd")
         peaks[n] = eng.stats.peak_nodes
         ok = ok and peaks[n] <= 4 * n * n
         want = 1.0 / math.sqrt(n)
@@ -341,7 +342,7 @@ def _probability_battery(rng):
             eng.run_gate(*op)
         yield eng
     yield _ghz_engine(10)
-    yield w_state_engine(8)
+    yield build_engine(w_state_as_circuit(8), "limdd")
     yield cluster_state(3, 3)
     for _ in range(2):
         edges = set()

@@ -321,12 +321,21 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert "line 2" in res.output
 
 
-def test_cli_recursion_limit_is_one_line_error(tmp_path):
+def test_cli_qmdd_gate_on_the_lowest_of_600_qubits(tmp_path):
+    # the apply descends through all 600 levels on an explicit stack
     path = tmp_path / "deep.qc"
     path.write_text("qubits 600\nh 599\n")
-    res = CliRunner().invoke(cli_main, ["run", str(path), "--mode", "qmdd"])
+    res = CliRunner().invoke(cli_main, ["run", str(path), "--mode", "qmdd", "--json"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["n"] == 600
+
+
+def test_cli_engine_error_is_one_line(tmp_path):
+    path = tmp_path / "wide.qc"
+    path.write_text("qubits 20\nh 19\n")
+    res = CliRunner().invoke(cli_main, ["run", str(path), "--mode", "dense"])
     assert res.exit_code == 1
-    assert res.output.startswith("error: h on 600 qubits")
+    assert res.output.startswith("error: dense simulation limited to 14 qubits")
     assert res.output.count("\n") == 1
 
 

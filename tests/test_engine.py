@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -232,7 +233,7 @@ def test_butterfly_matches_two_adds(use_caches):
             f = Edge(pl.mul(pl.PauliLim(m, top, 1, 0.5j), e.label), e.target)
         else:
             f = _operand(eng, rng, xs=top if trial % 3 else 0)
-        s, d = eng._butterfly(e, f)
+        s, d = eng._run(eng._butterfly(e, f))
         _same_state(eng, s, eng.add(e, f))
         _same_state(eng, d, eng.add(e, scale_edge(-1.0, f)))
     if not use_caches:
@@ -245,9 +246,9 @@ def test_butterfly_shares_one_entry_for_both_signs():
     for _ in range(10):
         e = edge_from_dense(eng.store, rng.normal(size=8) + 1j * rng.normal(size=8))
         f = edge_from_dense(eng.store, rng.normal(size=8) + 1j * rng.normal(size=8))
-        s, d = eng._butterfly(e, f)
+        s, d = eng._run(eng._butterfly(e, f))
         hits = eng.stats.add_cache_hits
-        s2, d2 = eng._butterfly(e, scale_edge(-1.0, f))
+        s2, d2 = eng._run(eng._butterfly(e, scale_edge(-1.0, f)))
         assert eng.stats.add_cache_hits == hits + 2
         _same_state(eng, s2, d)
         _same_state(eng, d2, s)
@@ -270,8 +271,9 @@ def test_cross_matches_projections_and_add(use_caches):
         xc = pl.single(m, c, "X")
         flipped = tuple(Edge(pl.mul(xc, g.label), g.target) for g in (e, f))
         for a, b in ((e, f), flipped):
-            got = eng._cross(a, b, c)
-            want = eng.add(eng._project(a, c, 0), eng._project(b, c, 1))
+            got = eng._run(eng._cross(a, b, c))
+            p0 = eng._run(eng._project(a, c, 0))
+            want = eng.add(p0, eng._run(eng._project(b, c, 1)))
             _same_state(eng, got, want)
 
 
@@ -389,10 +391,10 @@ def test_probabilities_sum_to_one():
 def test_update_post_meas_ghz():
     # the post-measurement state is the projection Engine._project builds
     eng = ghz_engine(3)
-    zeros = eng._project(eng.root, 3, 0)
+    zeros = eng._run(eng._project(eng.root, 3, 0))
     vec = eng.store.to_dense(zeros)
     assert abs(vec[0]) > 0 and not np.any(np.abs(vec[1:]) > 1e-12)
-    ones = eng._project(eng.root, 3, 1)
+    ones = eng._run(eng._project(eng.root, 3, 1))
     vec = eng.store.to_dense(ones)
     assert abs(vec[-1]) > 0 and not np.any(np.abs(vec[:-1]) > 1e-12)
 
@@ -406,8 +408,8 @@ def test_update_post_meas_follows_label_flips():
         eng.run_gate(name, *qs)
     e = eng.root
     flipped = eng.apply_pauli(e, pl.single(n, 2, "X"))
-    a = eng.store.to_dense(eng._project(flipped, 2, 0))
-    b = eng.store.to_dense(eng._project(e, 2, 1))
+    a = eng.store.to_dense(eng._run(eng._project(flipped, 2, 0)))
+    b = eng.store.to_dense(eng._run(eng._project(e, 2, 1)))
     want = op_on_qubit(n, 2, X2) @ b
     assert np.allclose(a, want, atol=1e-10)
 
@@ -774,26 +776,54 @@ def test_measurement_probability_rejects_bad_outcomes():
         eng.measurement_probability(eng.root, 1, 2)
 
 
-def test_gate_past_the_recursion_limit_is_an_engine_error():
-    # the qmdd descent recurses once per level and runs out of depth here
+def test_qmdd_gates_on_qubit_1_of_600_qubits():
+    # the apply and its Adds descend through all 600 levels on one explicit
+    # stack; x on the top qubit skips the identity block below it
     eng = Engine(600, mode="qmdd")
-    root = eng.root
-    with pytest.raises(EngineError, match="600 qubits"):
-        eng.run_gate("h", 1)
-    assert eng.root is root
+    eng.run_gate("h", 1)
+    assert eng.measurement_probability(eng.root, 1, 0) == pytest.approx(0.5)
+    assert eng.node_count() == 600
+    eng.run_gate("h", 1)
+    eng.run_gate("x", 600)
+    eng.run_gate("cx", 600, 1)
+    assert eng.measurement_probability(eng.root, 1, 1) == pytest.approx(1.0)
+    eng.run_gate("h", 600)
+    eng.run_mcx([(600, 1), (1, 1)], 300)
+    assert eng.measurement_probability(eng.root, 300, 1) == pytest.approx(0.5)
+    flipped = "1" + "0" * 299 + "1" + "0" * 298 + "1"
+    assert eng.amplitude("0" * 599 + "1") == pytest.approx(math.sqrt(0.5))
+    assert eng.amplitude(flipped) == pytest.approx(-math.sqrt(0.5))
 
 
-def test_limdd_descents_past_the_recursion_limit_are_engine_errors():
-    # H on qubit 1 descends through every level; an upward cx over the
-    # whole register runs its cross-select descent from top to bottom
-    eng = Engine(1100)
-    eng.run_gate("h", 1100)
-    root = eng.root
-    for gate in (("h", 1), ("cx", 1, 1100)):
-        with pytest.raises(EngineError, match="1100 qubits") as err:
-            eng.run_gate(*gate)
-        assert "\n" not in str(err.value)
-        assert eng.root is root
+def test_limdd_descents_through_1100_levels():
+    # every structural route descends from the top to qubit 1 or 2: the
+    # butterfly of H, the cross-select of upward CX, the phase and
+    # controlled-Pauli descents, and the projections and Adds of mcx
+    n = 1100
+    eng = Engine(n)
+    eng.run_gate("h", n)
+    eng.run_gate("h", 1)
+    assert eng.measurement_probability(eng.root, 1, 1) == pytest.approx(0.5)
+    assert eng.node_count() == n
+
+    def amp(top, q2, q1):
+        return eng.amplitude(f"{top}" + "0" * (n - 3) + f"{q2}{q1}")
+
+    eng.run_gate("z", n)
+    eng.run_gate("cx", 1, n)   # phase kickback: |->|+> becomes |->|->
+    assert amp(1, 0, 1) == pytest.approx(0.5)
+    assert amp(0, 0, 1) == pytest.approx(-0.5)
+    eng.run_gate("t", 1)
+    w = cmath.exp(1j * math.pi / 4)
+    assert amp(1, 0, 1) == pytest.approx(0.5 * w)
+    eng.run_gate("x", 2)
+    eng.run_gate("cz", 2, 1)
+    assert amp(1, 1, 1) == pytest.approx(-0.5 * w)
+    assert amp(0, 1, 0) == pytest.approx(0.5)
+    eng.run_mcx([(n, 1), (1, 1)], 500)
+    assert eng.measurement_probability(eng.root, 500, 1) == pytest.approx(0.25)
+    assert eng.measurement_probability(eng.root, 2, 1) == pytest.approx(1.0)
+    assert eng.node_count() == 2 * n - 1
 
 
 def test_measurement_past_the_recursion_limit():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import limdd.pauli as pl
+from limdd.circuit import build_engine
 from limdd.states import (
     Coset,
     Graph,
@@ -17,8 +18,7 @@ from limdd.states import (
     dicke_dense,
     graph_state,
     stabilizer_state,
-    w_state_circuit,
-    w_state_engine,
+    w_state_as_circuit,
 )
 from oracles import random_clifford_circuit
 
@@ -198,24 +198,24 @@ def test_stabilizer_state_rejects_non_clifford():
 
 
 def test_w_circuit_structure():
-    gates = w_state_circuit(8)
-    names = [g[0] for g in gates]
+    ops = w_state_as_circuit(8).ops
+    names = [name for name, _ in ops]
     assert names[:3] == ["h"] * 3
     assert names[3:8] == ["mcx"] * 5
     assert names[8:] == ["cx"] * 9
-    for g in gates[3:8]:
-        assert len(g[1]) == 3   # every register-A qubit is a control
+    for _, qs in ops[3:8]:
+        assert len(qs[1:]) == 3   # every register-A qubit is a control
 
 
 def test_w_circuit_rejects_non_powers():
     for bad in (0, 1, 3, 6, 12):
         with pytest.raises(StateError):
-            w_state_circuit(bad)
+            w_state_as_circuit(bad)
 
 
 def test_w_state_amplitudes():
     for n in (2, 4, 8):
-        eng = w_state_engine(n)
+        eng = build_engine(w_state_as_circuit(n), "limdd")
         vec = eng.to_dense()
         want = np.zeros(1 << n, dtype=complex)
         for k in range(n):
