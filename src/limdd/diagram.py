@@ -35,16 +35,17 @@ from .pauli import (
     Lim,
     PauliLim,
     ZeroLim,
+    conjugate_group,
     format_lim,
     gf2_eliminate,
-    group_product,
     identity,
     inverse,
     is_zero,
-    lex_cmp,
     mul,
+    mul_sign,
     neg,
-    pauli_conjugate,
+    phase_exp,
+    row_product,
     rref,
     rref_insert,
     scalar_cmp,
@@ -157,7 +158,9 @@ class DiagramStore:
     reduced stabilizer generators by node id (a "pauli" store only; an
     identity-group store keeps just the leaf's), and ``_pair_memo`` holds the
     pair record of ``_pair`` (reduced union rows, an opposite element and
-    the intersection) by the content of the two groups.
+    the intersection) by the content of the two groups.  Only pairs whose
+    strings differ, both sides nonempty, enter it: a pair with the same
+    strings or an empty side has its record read off the groups' rows.
 
     Trivial-group lane: most nodes of a non-stabilizer state, and every
     node of an identity-group store, have the stabilizer group {I}.  There
@@ -282,41 +285,64 @@ class DiagramStore:
     # -- stabilizer machinery ----------------------------------------------
 
     def _pair(self, g0: GeneratorSet, g1: GeneratorSet) -> tuple:
-        """The pair record (rows, opp, meet) of one elimination over the
-        stacked strings of g0 and g1, memoized by content.
+        """The pair record (rows, sels, opp, meet) of g0 and g1.
 
-        * rows: reduced row basis of the strings of <g0 union g1> as
-          (string key, pivot bit, sel); the low len(g0) bits of sel pick g0
-          generators, the rest pick g1 generators, and the product of the
-          picked generators has that string key.
-        * opp: some h in <g0> with -h in <g1>, or None.
+        * rows, sels: reduced row basis of the strings of <g0 union g1> as
+          (x, z) pairs, and per row the selection mask of the generators
+          whose product has that string: the low len(g0) bits pick g0
+          rows, the rest pick g1 rows.  ``sels`` None means row i selects
+          bit i alone.
+        * opp: (x, z, sign bit) of some h in <g0> with -h in <g1>, or None.
         * meet: <g0> meet <g1>, reduced.
 
-        The kernel pairs of the elimination are the elements of <g0> and
-        <g1> that share a string.  Sign quotients are multiplicative over
-        the kernel (commuting +-1 generators square to +I exactly), so the
-        first pair whose exact products disagree is the opposite element,
-        and multiplying it into every other disagreeing pair makes the rest
-        of the meet."""
+        The kernel pairs of an elimination over the stacked strings are the
+        elements of <g0> and <g1> that share a string.  Sign quotients are
+        multiplicative over the kernel (commuting +-1 generators square to
+        +I exactly), so the first pair whose exact products disagree is the
+        opposite element, and multiplying one disagreeing pair into every
+        other makes the rest of the meet.
+
+        Two reduced groups with the same strings (always so for a node
+        whose children are one node) or with one side empty need no
+        elimination and take no memo entry: the rows are the group's own,
+        the kernel pairs are row i of each side, so the clashes are
+        ``g0.signs ^ g1.signs``, and the first clash (the highest pivot) is
+        ``opp``.  Multiplying the lowest-pivot clash into the other clashes
+        keeps every pivot and clears none, so the meet comes out reduced.
+        Other pairs run the elimination once, memoized by content."""
+        r0, r1 = g0.rows, g1.rows
+        n = g0.n
+        if g0.reduced and g1.reduced:
+            if not (r0 and r1):
+                return r0 or r1, None, None, self.empty_set(n)
+            if r0 is r1 or r0 == r1:
+                return (r0, None) + _same_string_meet(g0, g1.signs)
         memo_key = (g0.content_key(), g1.content_key())
         got = self._pair_memo.get(memo_key)
         if got is not None:
             return got
-        n = g0.n
-        k0 = len(g0.gens)
+        k0 = len(r0)
         low = (1 << k0) - 1
-        reduced, kernel = gf2_eliminate([g.string_key() for g in g0.gens + g1.gens])
-        rows = tuple((k, k.bit_length() - 1, sel) for k, sel in reduced)
-        agree: list[PauliLim] = []
-        clash: list[PauliLim] = []
+        mask = (1 << n) - 1
+        reduced, kernel = gf2_eliminate([(x << n) | z for x, z in r0 + r1])
+        rows = tuple((k >> n, k & mask) for k, _ in reduced)
+        sels = tuple(sel for _, sel in reduced)
+        agree: list = []
+        clash: list = []
         for sel in kernel:
-            p0 = group_product(g0.gens, sel & low, n)
-            p1 = group_product(g1.gens, sel >> k0, n)
-            (agree if p0.scalar.real * p1.scalar.real > 0 else clash).append(p0)
+            p0 = row_product(r0, g0.signs, sel & low)
+            s1 = row_product(r1, g1.signs, sel >> k0)[2]
+            (clash if p0[2] != s1 else agree).append(p0)
         opp = clash[0] if clash else None
-        agree.extend(mul(h, opp) for h in clash[1:])
-        meet = rref(GeneratorSet(n, agree)) if agree else self.empty_set(n)
-        got = (rows, opp, meet)
+        for x, z, s in clash[1:]:
+            agree.append((x ^ opp[0], z ^ opp[1], s ^ opp[2] ^ mul_sign(x, z, opp[0], opp[1])))
+        if agree:
+            signs = sum(s << i for i, (_, _, s) in enumerate(agree))
+            unreduced = GeneratorSet.packed(n, tuple((x, z) for x, z, _ in agree), signs, False)
+            meet = rref(unreduced)
+        else:
+            meet = self.empty_set(n)
+        got = (rows, sels, opp, meet)
         self._pair_memo[memo_key] = got
         return got
 
@@ -324,27 +350,34 @@ class DiagramStore:
         self, g0: GeneratorSet, g1: GeneratorSet, a: PauliLim
     ) -> tuple[PauliLim, PauliLim, PauliLim]:
         """(w0, w1, value): w0 in <g0>, w1 in <g1>, value = a.w0.w1 is the
-        lexicographic minimum of the double coset, phase included."""
-        if not (g0.gens or g1.gens):
-            return identity(a.n), identity(a.n), a
-        rows, opp, _ = self._pair(g0, g1)
-        sel = 0
-        key = a.string_key()
-        for k, piv, s in rows:
-            if (key >> piv) & 1:
-                key ^= k
-                sel ^= s
-        k0 = len(g0.gens)
-        acc0 = group_product(g0.gens, sel & ((1 << k0) - 1), a.n)
-        acc1 = group_product(g1.gens, sel >> k0, a.n)
-        cand = mul(mul(a, acc0), acc1)
+        lexicographic minimum of the double coset, phase included.
+
+        Reducing a's string by the pair's rows gives the smallest string in
+        the coset and the w0, w1 that reach it; the only other element with
+        that string is its negation, reached through the opposite element."""
+        n = a.n
+        if not (g0.rows or g1.rows):
+            return identity(n), identity(n), a
+        rows, sels, opp, _ = self._pair(g0, g1)
+        x, z, sel = a.x, a.z, 0
+        for i, (rx, rz) in enumerate(rows):
+            if (x ^ rx < x) if rx else (z ^ rz < z):
+                x ^= rx
+                z ^= rz
+                sel ^= sels[i] if sels else 1 << i
+        k0 = len(g0.rows)
+        x0, z0, s0 = row_product(g0.rows, g0.signs, sel & ((1 << k0) - 1))
+        x1, z1, s1 = row_product(g1.rows, g1.signs, sel >> k0)
+        e = phase_exp(a.x, a.z, x0, z0) + phase_exp(a.x ^ x0, a.z ^ z0, x1, z1)
+        cand = PauliLim(n, x, z, a.scalar * _PHASES[(e + 2 * (s0 ^ s1)) % 4])
         if opp is not None:
-            h0 = mul(acc0, opp)
-            h1 = mul(neg(opp), acc1)
-            alt = mul(mul(a, h0), h1)
-            if lex_cmp(alt, cand) < 0:
-                return h0, h1, alt
-        return acc0, acc1, cand
+            alt = neg(cand)
+            if scalar_cmp(alt.scalar, cand.scalar) < 0:
+                ox, oz, so = opp
+                s0 ^= so ^ mul_sign(x0, z0, ox, oz)
+                s1 ^= 1 ^ so ^ mul_sign(ox, oz, x1, z1)
+                return _lim(n, x0 ^ ox, z0 ^ oz, s0), _lim(n, x1 ^ ox, z1 ^ oz, s1), alt
+        return _lim(n, x0, z0, s0), _lim(n, x1, z1, s1), cand
 
     def root_label(self, e: Edge) -> PauliLim:
         """Canonical representative of label modulo the target's stabilizers."""
@@ -352,7 +385,7 @@ class DiagramStore:
             raise DiagramError("zero edges have no root label")
         v = e.target
         g = self.get_stabilizer_gen_set(v)
-        if not g.gens:
+        if not g.rows:
             return e.label
         return self.arg_lex_min(g, self.empty_set(v.index), e.label)[2]
 
@@ -362,7 +395,7 @@ class DiagramStore:
         """<g0> meet <g1>, reduced (from the pair record).  Part of the
         stabilizer toolkit; the store reads the meet from ``_pair``
         directly."""
-        return self._pair(g0, g1)[2]
+        return self._pair(g0, g1)[3]
 
     def get_stabilizer_gen_set(self, v: Node) -> GeneratorSet:
         """Generators of the Pauli stabilizer subgroup of |v>, cached per
@@ -378,31 +411,33 @@ class DiagramStore:
         return res
 
     def _stab_recursive(self, v: Node) -> GeneratorSet:
-        # I (x) a reduced basis is still reduced, so the node's basis is the
-        # children's common part plus at most three inserted rows
+        # I (x) a reduced basis is the same rows and still reduced, so the
+        # node's basis is the children's common part plus at most three
+        # inserted rows
         m = v.index
         v0 = v.low.target
         g0 = self.get_stabilizer_gen_set(v0)
         if is_zero(v.high.label):
-            return rref_insert(_prefix_i(g0), [single(m, m, "Z")])
+            return rref_insert(GeneratorSet.packed(m, g0.rows, g0.signs), [single(m, m, "Z")])
         a1 = v.high.label
         v1 = v.high.target
         g1 = g0 if v1 is v0 else self.get_stabilizer_gen_set(v1)
-        if not (g0.gens or g1.gens):
+        if not (g0.rows or g1.rows):
             # no meet and no opposite element; at most one swap row holds
             rows = _swap_rows(a1, None) if v0 is v1 else []
             return GeneratorSet(m, rows) if rows else self.empty_set(m)
-        # conjugation only flips signs, so the reduced set stays reduced
-        g1 = GeneratorSet.exact(m - 1, tuple(pauli_conjugate(a1, g) for g in g1.gens))
-        _, opp, meet = self._pair(g0, g1)
+        _, _, opp, meet = self._pair(g0, conjugate_group(a1, g1))
         # diagonal stabilizers: I (x) (G0 meet G1) and Z (x) h, h in G0, -h in G1
-        new = [] if opp is None else [tensor_top("Z", opp)]
+        new = []
+        if opp is not None:
+            opp = _lim(m - 1, *opp)
+            new.append(tensor_top("Z", opp))
         # antidiagonal stabilizers need the children to be isomorphic, which
         # canonicity turns into the children being the same node; the rows
         # then follow from the high label's scalar (``_swap_rows``)
         if v0 is v1:
             new += _swap_rows(a1, opp)
-        return rref_insert(_prefix_i(meet), new)
+        return rref_insert(GeneratorSet.packed(m, meet.rows, meet.signs), new)
 
     # -- canonicalizing constructor -----------------------------------------
 
@@ -422,7 +457,7 @@ class DiagramStore:
         g1 = self.get_stabilizer_gen_set(v1)
         lam = a_hat.scalar
         p_unit = PauliLim(a_hat.n, a_hat.x, a_hat.z, 1.0)
-        if g0.gens or g1.gens:
+        if g0.rows or g1.rows:
             w0, w1, _ = self.arg_lex_min(g0, g1, a_hat)
             m = mul(mul(w0, p_unit), w1)
         else:
@@ -587,11 +622,36 @@ def _swap_rows(a1: PauliLim, opp: Optional[PauliLim]) -> list[PauliLim]:
     return rows
 
 
-def _prefix_i(g: GeneratorSet) -> GeneratorSet:
-    """I (x) g: the same bitmasks on one more qubit."""
-    return GeneratorSet.exact(
-        g.n + 1, tuple(PauliLim(g.n + 1, r.x, r.z, r.scalar) for r in g.gens)
-    )
+def _lim(n: int, x: int, z: int, s: int) -> PauliLim:
+    """The PauliLim of a packed element: string (x, z), sign bit s."""
+    return PauliLim(n, x, z, -1.0 if s else 1.0)
+
+
+def _same_string_meet(g0: GeneratorSet, signs1: int) -> tuple:
+    """(opp, meet) of the pair record of reduced g0 and the group with g0's
+    rows and signs ``signs1`` (see ``DiagramStore._pair``)."""
+    clash = g0.signs ^ signs1
+    if not clash:
+        return None, g0
+    rows = g0.rows
+    first = (clash & -clash).bit_length() - 1
+    opp = rows[first] + ((g0.signs >> first) & 1,)
+    base = clash.bit_length() - 1
+    bx, bz = rows[base]
+    bs = (g0.signs >> base) & 1
+    out = list(rows)
+    signs = g0.signs
+    rest = clash ^ (1 << base)
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        x, z = out[i]
+        signs ^= (bs ^ mul_sign(x, z, bx, bz)) << i
+        out[i] = (x ^ bx, z ^ bz)
+        rest ^= low
+    del out[base]
+    signs = (signs & ((1 << base) - 1)) | ((signs >> (base + 1)) << base)
+    return opp, GeneratorSet.packed(g0.n, tuple(out), signs)
 
 
 def lim_apply_dense(a: Lim, vec: np.ndarray) -> np.ndarray:

@@ -12,17 +12,21 @@ The zero operator gets its own type; it annihilates everything it multiplies
 and is never a member of a generator set.
 
 Generator sets hold independent commuting strings with scalars +-1 and are
-the working representation for stabilizer subgroups.  Every GF(2) step on
-them runs through ``gf2_eliminate`` on the ``string_key`` integers.  It
-records which inputs make up each row as a selection bitmask, and
-``group_product`` turns a mask back into an element with its exact sign.
-``rref`` reduces a whole set; ``rref_insert`` adds rows to a set that is
-already reduced without reducing it again.  The diagram store takes the
-double-coset minimum, the opposite element and the intersection of two
-groups from one elimination per pair (``DiagramStore._pair``).
-``string_kernel`` and ``find_opposite`` are the same kernel steps on their
-own; the store no longer calls them, and they stay because the benchmark's
-tracer (``bench/tracing.py``) counts them by name.
+the working representation for stabilizer subgroups.  A set is packed: a
+tuple of (x, z) string pairs with no qubit count and one sign bitmask
+(``GeneratorSet``), so I (x) g shares g's tuple, conjugating by a Pauli
+flips sign bits (``conjugate_group``), and a product of rows carries one
+sign bit (``row_product``).  Every GF(2) step that a reduced set cannot
+skip runs through ``gf2_eliminate`` on check-string integers (x above z).
+It records which inputs make up each row as a selection bitmask, which
+``row_product`` turns back into an element with its exact sign.  ``rref``
+reduces a whole set; ``rref_insert`` adds rows to a set that is already
+reduced without reducing it again.  The diagram store takes the double-coset
+minimum, the opposite element and the intersection of two groups from one
+pair record (``DiagramStore._pair``).  ``string_kernel`` and
+``find_opposite`` are the same kernel steps on their own; the store does not
+call them, and they stay because the benchmark's tracer
+(``bench/tracing.py``) counts them by name.
 Clifford circuits for ``conjugate`` are flat tuples of ("h", q), ("s", q),
 ("cx", c, t) with 1-based qubits.
 """
@@ -163,12 +167,6 @@ def neg(a: Lim) -> Lim:
     return scale(-1.0, a)
 
 
-def pauli_conjugate(a: PauliLim, g: PauliLim) -> PauliLim:
-    """a . g . a^-1 for Pauli ``a``: g up to the symplectic sign; a's scalar cancels."""
-    sign = -1.0 if ((a.x & g.z).bit_count() + (a.z & g.x).bit_count()) & 1 else 1.0
-    return PauliLim(g.n, g.x, g.z, sign * g.scalar)
-
-
 def tensor_top(letter: str, a: Lim, extra_scalar: complex = 1.0) -> Lim:
     """(letter (x) a) on n+1 qubits, optionally scaled; the new qubit is the top."""
     if isinstance(a, ZeroLim):
@@ -301,41 +299,56 @@ def from_text(text: str, n: Optional[int] = None) -> PauliLim:
 class GeneratorSet:
     """Independent commuting +-1 Pauli strings generating a stabilizer subgroup.
 
-    Instances are treated as immutable.  ``content_key`` supports
-    content-keyed memo tables (it sees generator order, which rref
-    canonicalizes)."""
+    Packed: ``rows`` is a tuple of (x, z) string pairs with no qubit count,
+    and bit i of ``signs`` is set when row i carries -1.  So I (x) g on one
+    more qubit is ``packed(n + 1, g.rows, g.signs)``, sharing g's tuple, and
+    conjugating by a Pauli flips bits of ``signs``.  ``reduced`` says the
+    rows are in reduced row echelon form (``rref``): keys strictly
+    decreasing, each pivot clear in every other row.  Sets made by ``rref``,
+    ``rref_insert`` and the diagram store are; a set built from
+    ``PauliLim``s is checked.  ``gens`` is a read-only view of the rows as
+    ``PauliLim``s.  Instances are treated as immutable."""
 
-    __slots__ = ("n", "gens", "_ckey")
+    __slots__ = ("n", "rows", "signs", "reduced")
 
     def __init__(self, n: int, gens: Iterable[PauliLim] = ()):
-        self.n = n
-        snapped = []
-        for g in gens:
+        rows = []
+        keys = []
+        signs = 0
+        for i, g in enumerate(gens):
             if g.n != n:
                 raise PauliError("generator qubit count mismatch")
-            snapped.append(_snap_sign(g))
-        self.gens = tuple(snapped)
-        self._ckey = None
+            rows.append((g.x, g.z))
+            keys.append(g.string_key())
+            signs |= _sign_bit(g.scalar) << i
+        self.n = n
+        self.rows = tuple(rows)
+        self.signs = signs
+        self.reduced = _is_reduced(keys)
 
     @classmethod
-    def exact(cls, n: int, gens: tuple) -> "GeneratorSet":
-        """A set of rows already on ``n`` qubits with scalars exactly +-1
-        (built from another set's rows), taken as they are."""
+    def packed(cls, n: int, rows: tuple, signs: int, reduced: bool = True) -> "GeneratorSet":
+        """A set of packed rows on ``n`` qubits, taken as they are."""
         g = cls.__new__(cls)
         g.n = n
-        g.gens = gens
-        g._ckey = None
+        g.rows = rows
+        g.signs = signs
+        g.reduced = reduced
         return g
 
+    @property
+    def gens(self) -> tuple:
+        n, signs = self.n, self.signs
+        return tuple(
+            PauliLim(n, x, z, -1.0 if (signs >> i) & 1 else 1.0)
+            for i, (x, z) in enumerate(self.rows)
+        )
+
     def content_key(self) -> tuple:
-        if self._ckey is None:
-            self._ckey = (self.n,) + tuple(
-                (g.x, g.z, 1 if g.scalar.real > 0 else -1) for g in self.gens
-            )
-        return self._ckey
+        return (self.n, self.rows, self.signs)
 
     def __len__(self) -> int:
-        return len(self.gens)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[PauliLim]:
         return iter(self.gens)
@@ -343,16 +356,83 @@ class GeneratorSet:
     def __repr__(self) -> str:
         return "<%s>" % ", ".join(format_lim(g) for g in self.gens)
 
-def _snap_sign(g: PauliLim) -> PauliLim:
-    """Force a generator scalar to exactly +-1; reject anything else."""
-    s = g.scalar
-    if s == 1.0 or s == -1.0:
-        return g
+
+def _sign_bit(s: complex) -> int:
+    """0 for a generator scalar within 1e-9 of +1, 1 for one within 1e-9 of
+    -1; anything else is rejected."""
     if abs(s - 1.0) <= 1e-9:
-        return PauliLim(g.n, g.x, g.z, 1.0)
+        return 0
     if abs(s + 1.0) <= 1e-9:
-        return PauliLim(g.n, g.x, g.z, -1.0)
+        return 1
     raise NotAStabilizerGroupError(f"generator scalar {s} is not +-1")
+
+
+def _is_reduced(keys: list) -> bool:
+    """Whether check strings are in reduced row echelon form."""
+    if not all(keys):
+        return False
+    pivots = [k.bit_length() - 1 for k in keys]
+    if any(a <= b for a, b in zip(pivots, pivots[1:])):
+        return False
+    mask = sum(1 << p for p in pivots)
+    return all(k & mask == 1 << p for k, p in zip(keys, pivots))
+
+
+def phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
+    """e with (x1, z1) (x2, z2) = i^e (x1 ^ x2, z1 ^ z2) for the strings of
+    ``mul`` (which computes it inline), so 2 * sign bit for two commuting
+    strings."""
+    return (
+        (x1 & z1).bit_count()
+        + (x2 & z2).bit_count()
+        + 2 * (z1 & x2).bit_count()
+        - ((x1 ^ x2) & (z1 ^ z2)).bit_count()
+    ) % 4
+
+
+def mul_sign(x1: int, z1: int, x2: int, z2: int) -> int:
+    """The sign bit of the product of two commuting strings; strings that
+    anticommute have no such sign and raise."""
+    e = phase_exp(x1, z1, x2, z2)
+    if e & 1:
+        raise NotAStabilizerGroupError("generators do not commute")
+    return e >> 1
+
+
+def row_product(rows: Sequence[tuple], signs: int, mask: int) -> tuple[int, int, int]:
+    """(x, z, sign bit) of the product of the rows selected by ``mask`` bits.
+
+    Well defined without an ordering convention because stabilizer
+    generators commute.  The phase exponent is ``phase_exp`` summed over
+    the steps of the product, where the accumulated x & z terms telescope:
+    each row adds its own x & z count and twice its x against the z
+    before it, and the result's x & z count comes off once at the end."""
+    x = z = 0
+    e = 2 * (signs & mask).bit_count()
+    while mask:
+        low = mask & -mask
+        rx, rz = rows[low.bit_length() - 1]
+        e += (rx & rz).bit_count() + 2 * (z & rx).bit_count()
+        x ^= rx
+        z ^= rz
+        mask ^= low
+    e -= (x & z).bit_count()
+    if e & 1:
+        raise NotAStabilizerGroupError("generators do not commute")
+    return x, z, (e >> 1) & 1
+
+
+def conjugate_group(a: PauliLim, g: GeneratorSet) -> GeneratorSet:
+    """a <g> a^-1 for Pauli ``a``: g's rows, with the sign of every row that
+    anticommutes with a's string flipped; a's scalar cancels."""
+    ax, az = a.x, a.z
+    flip = 0
+    for i, (x, z) in enumerate(g.rows):
+        if ((ax & z) ^ (az & x)).bit_count() & 1:
+            flip |= 1 << i
+    if not flip:
+        return g
+    return GeneratorSet.packed(g.n, g.rows, g.signs ^ flip, g.reduced)
 
 
 def gf2_eliminate(keys: Sequence[int]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -427,12 +507,18 @@ def rref(g: GeneratorSet) -> GeneratorSet:
     eliminated from every other row; each row's sign is the exact product
     of the generators that make it up.  Dependent input is dropped when it
     multiplies to +I and is an error when it yields anything else (-I)."""
-    n = g.n
-    rows, kernel = gf2_eliminate([r.string_key() for r in g.gens])
+    n, gens, signs = g.n, g.rows, g.signs
+    rows, kernel = gf2_eliminate([(x << n) | z for x, z in gens])
     for sel in kernel:
-        if abs(group_product(g.gens, sel, n).scalar - 1.0) > EPS_EQ:
+        if row_product(gens, signs, sel)[2]:
             raise NotAStabilizerGroupError("generators produce -I")
-    return GeneratorSet(n, [group_product(g.gens, sel, n) for _, sel in rows])
+    out = []
+    out_signs = 0
+    for i, (_, sel) in enumerate(rows):
+        x, z, s = row_product(gens, signs, sel)
+        out.append((x, z))
+        out_signs |= s << i
+    return GeneratorSet.packed(n, tuple(out), out_signs)
 
 
 def rref_insert(g: GeneratorSet, rows: Iterable[PauliLim]) -> GeneratorSet:
@@ -443,30 +529,40 @@ def rref_insert(g: GeneratorSet, rows: Iterable[PauliLim]) -> GeneratorSet:
     survives has a fresh pivot: it is cleared from the few rows that carry
     that bit (their own pivots stay put) and the row is placed by key.  A
     row that reduces to +I is dropped and one that reduces to -I is an
-    error, as in ``rref``.  Cost per new row is linear in ``len(g)``."""
-    gens = list(g.gens)
-    keys = [r.string_key() for r in gens]   # decreasing
+    error, as in ``rref``.  Cost per new row is linear in ``len(g)``; the
+    rows it leaves alone are g's own tuples.
+
+    A row's key is its x block above its z block, so its pivot is the
+    leading bit of x, or of z when x is 0, and keys order as (x, z) pairs.
+    Whether a string p holds the pivot of row r is ``p ^ r < p`` on that
+    block."""
+    out = list(g.rows)
+    signs = g.signs
     for p in rows:
-        p = _snap_sign(p)
-        key = p.string_key()
-        for i, k in enumerate(keys):
-            if (key >> (k.bit_length() - 1)) & 1:
-                key ^= k
-                p = mul(p, gens[i])
-        if not key:
-            if abs(p.scalar - 1.0) > EPS_EQ:
+        px, pz, ps = p.x, p.z, _sign_bit(p.scalar)
+        for i, (x, z) in enumerate(out):
+            if (px ^ x < px) if x else (pz ^ z < pz):
+                ps ^= ((signs >> i) & 1) ^ mul_sign(px, pz, x, z)
+                px ^= x
+                pz ^= z
+        if not (px or pz):
+            if ps:
                 raise NotAStabilizerGroupError("generators produce -I")
             continue
-        p = _snap_sign(p)
-        piv = key.bit_length() - 1
-        for i, k in enumerate(keys):
-            if (k >> piv) & 1:
-                keys[i] = k ^ key
-                gens[i] = _snap_sign(mul(gens[i], p))
-        at = next((i for i, k in enumerate(keys) if k < key), len(keys))
-        keys.insert(at, key)
-        gens.insert(at, p)
-    return GeneratorSet.exact(g.n, tuple(gens))
+        if px:
+            bx, bz = 1 << (px.bit_length() - 1), 0
+        else:
+            bx, bz = 0, 1 << (pz.bit_length() - 1)
+        for i, (x, z) in enumerate(out):
+            if x & bx or z & bz:
+                signs ^= (ps ^ mul_sign(x, z, px, pz)) << i
+                out[i] = (x ^ px, z ^ pz)
+        new = (px, pz)
+        at = next((i for i, r in enumerate(out) if r < new), len(out))
+        out.insert(at, new)
+        below = (1 << at) - 1
+        signs = (signs & below) | (ps << at) | ((signs & ~below) << 1)
+    return GeneratorSet.packed(g.n, tuple(out), signs)
 
 
 def string_kernel(g0: GeneratorSet, g1: GeneratorSet) -> list[tuple[int, int]]:
@@ -474,9 +570,10 @@ def string_kernel(g0: GeneratorSet, g1: GeneratorSet) -> list[tuple[int, int]]:
 
     The kernel of the elimination on the stacked check strings, with each
     selection mask split at the g0/g1 boundary.  Phases are ignored here."""
-    k0 = len(g0.gens)
+    n = g0.n
+    k0 = len(g0.rows)
     low = (1 << k0) - 1
-    _, kernel = gf2_eliminate([g.string_key() for g in g0.gens + g1.gens])
+    _, kernel = gf2_eliminate([(x << n) | z for x, z in g0.rows + g1.rows])
     return [(sel & low, sel >> k0) for sel in kernel]
 
 
@@ -488,12 +585,10 @@ def find_opposite(g0: GeneratorSet, g1: GeneratorSet) -> Optional[PauliLim]:
     quotients are multiplicative over the kernel (commuting +-1 generators
     square to +I exactly), so scanning one kernel basis decides existence:
     any basis pair whose exact products disagree in sign is a witness."""
-    n = g0.n
     for m0, m1 in string_kernel(g0, g1):
-        h = group_product(g0.gens, m0, n)
-        other = group_product(g1.gens, m1, n)
-        if h.scalar.real * other.scalar.real < 0:
-            return h
+        x, z, s = row_product(g0.rows, g0.signs, m0)
+        if s != row_product(g1.rows, g1.signs, m1)[2]:
+            return PauliLim(g0.n, x, z, -1.0 if s else 1.0)
     return None
 
 

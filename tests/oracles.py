@@ -122,6 +122,20 @@ def group_keys(gens) -> set:
     return {(g.x, g.z, 1 if g.scalar.real > 0 else -1) for g in enumerate_group(gens)}
 
 
+def echelon_ok(g: GeneratorSet) -> bool:
+    """Reduced row echelon form: pivots strictly decreasing, each pivot
+    clear in every other row."""
+    pivots = [r.string_key().bit_length() - 1 for r in g.gens]
+    if pivots != sorted(pivots, reverse=True) or len(set(pivots)) != len(pivots):
+        return False
+    return all(
+        not (r.string_key() >> p) & 1
+        for i, r in enumerate(g.gens)
+        for j, p in enumerate(pivots)
+        if i != j
+    )
+
+
 def all_signed_paulis(n: int):
     for x in range(1 << n):
         for z in range(1 << n):

@@ -32,6 +32,7 @@ from limdd.stabrank import search_with_restarts
 from oracles import (
     cx_matrix,
     cz_matrix,
+    echelon_ok,
     enumerate_group,
     gf2_rank,
     group_keys,
@@ -417,18 +418,6 @@ def _random_diagonal_genset(n: int, rng) -> GeneratorSet:
     return GeneratorSet(n, gens)
 
 
-def _echelon_ok(g: GeneratorSet) -> bool:
-    pivots = [r.string_key().bit_length() - 1 for r in g.gens]
-    if pivots != sorted(pivots, reverse=True) or len(set(pivots)) != len(pivots):
-        return False
-    return all(
-        not (r.string_key() >> p) & 1
-        for i, r in enumerate(g.gens)
-        for j, p in enumerate(pivots)
-        if i != j
-    )
-
-
 def test_pauli_toolkit_vs_enumeration():
     # membership and division are arg_lex_min against the empty group
     rng = np.random.default_rng(67)
@@ -439,7 +428,7 @@ def test_pauli_toolkit_vs_enumeration():
         g = random_stabilizer_genset(n, rng)
         red = pl.rref(g)
         assert group_keys(red) == group_keys(g)
-        assert _echelon_ok(red)
+        assert echelon_ok(red)
         assert len(red.gens) == int(math.log2(len(enumerate_group(g)) or 1))
         cases += 1
     for _ in range(150):  # membership agrees with brute-force lookup

@@ -490,7 +490,11 @@ def test_intersect_stabilizer_groups_matches_enumeration():
         inter = store.intersect_stabilizer_groups(g0, g1)
         assert group_keys(inter) == group_keys(g0) & group_keys(g1)
         again = store.intersect_stabilizer_groups(g0, g1)
-        assert again is inter
+        if g0.rows == g1.rows:
+            # same-string pairs are read off the rows, with no memo entry
+            assert again.content_key() == inter.content_key()
+        else:
+            assert again is inter
 
 
 def test_arg_lex_min_matches_enumeration():

@@ -97,16 +97,18 @@ def test_inverse():
         assert abs(prod.scalar - 1.0) <= 1e-12
 
 
-def test_pauli_conjugate_matches_dense():
+def test_conjugate_group_matches_dense():
     rng = np.random.default_rng(5)
     for _ in range(100):
         n = int(rng.integers(1, 4))
         a = random_lim(rng, n)
-        g = random_lim(rng, n, "sign")
-        got = lim_to_matrix(pl.pauli_conjugate(a, g))
+        g = random_stabilizer_genset(n, rng)
+        got = pl.conjugate_group(a, g)
+        assert got.rows == g.rows and got.reduced == g.reduced
         ma = lim_to_matrix(a)
-        want = ma @ lim_to_matrix(g) @ np.linalg.inv(ma)
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        for h, r in zip(got.gens, g.gens):
+            want = ma @ lim_to_matrix(r) @ np.linalg.inv(ma)
+            np.testing.assert_allclose(lim_to_matrix(h), want, atol=1e-9)
 
 
 def test_lex_order_examples():
