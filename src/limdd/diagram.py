@@ -151,8 +151,18 @@ class DiagramStore:
     """Node storage plus every structural and canonicalization operation.
 
     ``group`` selects the label group: "pauli" (full labels) or "identity"
-    (scalars only).  Nodes are never garbage collected; insertion order is
-    the node order used by the low-precedence rule.
+    (scalars only).  Node ids come from a counter that never reuses an id,
+    and id order is the node order used by the low-precedence rule.
+
+    ``sweep(roots)`` drops every node that no root edge reaches and rebuilds
+    the unique tables from the survivors.  Survivors keep their ids, so low
+    precedence and every id-keyed entry of a survivor stay valid without
+    renumbering.  An edge held across a sweep still denotes its state, since
+    nodes are immutable and ids are never reused; but the store no longer
+    knows a dropped node, so building the same state again makes a new node.
+    Canonicity (one node per state) therefore holds among the nodes the
+    store keeps, and an edge to a dropped node must not be handed back to
+    ``make_edge``.
 
     Two memos serve the stabilizer machinery: ``_stab`` holds each node's
     reduced stabilizer generators by node id (a "pauli" store only; an
@@ -178,7 +188,8 @@ class DiagramStore:
             raise ValueError(f"unknown label group {group!r}")
         self.group = group
         self.leaf = Node(0, None, None, 0)
-        self.nodes: list[Node] = [self.leaf]
+        self.nodes: list[Node] = [self.leaf]      # creation (= id) order
+        self._next_id = 1
         self._table = ScalarKeyedTable()          # (v0, v1, x, z) + scalar -> Node
         self._zero_high: dict[int, Node] = {}     # v0 nid -> Node
         self._zero_low: dict[int, Node] = {}      # v1 nid -> Node (identity mode)
@@ -189,22 +200,31 @@ class DiagramStore:
     # -- bookkeeping --------------------------------------------------------
 
     def node_count(self) -> int:
-        """Nodes above the leaf."""
+        """Nodes above the leaf that the store holds (kept by the last
+        sweep or created since)."""
         return len(self.nodes) - 1
+
+    def nodes_created(self) -> int:
+        """Nodes above the leaf ever created, swept ones included."""
+        return self._next_id - 1
 
     def reachable_count(self, e: Edge) -> int:
         """Nodes above the leaf reachable from ``e``."""
-        seen: set[int] = set()
-        stack = [e.target]
+        return len(self._reach([e])) - 1
+
+    def _reach(self, roots) -> dict[int, Node]:
+        """The leaf and every node reachable from the edges ``roots``, by
+        id; marked on an explicit stack."""
+        seen = {0: self.leaf}
+        stack = [e.target for e in roots]
         while stack:
             v = stack.pop()
             if v.nid in seen:
                 continue
-            seen.add(v.nid)
-            if v.index > 0:
-                stack.append(v.low.target)
-                stack.append(v.high.target)
-        return len(seen - {0})
+            seen[v.nid] = v
+            stack.append(v.low.target)
+            stack.append(v.high.target)
+        return seen
 
     def empty_set(self, n: int) -> GeneratorSet:
         g = self._empty.get(n)
@@ -214,9 +234,36 @@ class DiagramStore:
         return g
 
     def _new_node(self, index: int, low: Edge, high: Edge) -> Node:
-        v = Node(index, low, high, len(self.nodes))
+        v = Node(index, low, high, self._next_id)
+        self._next_id += 1
         self.nodes.append(v)
         return v
+
+    def sweep(self, roots) -> int:
+        """Keep only the nodes reachable from the edges ``roots`` (the leaf
+        always); returns the number of nodes kept above the leaf.
+
+        Marks from the roots on an explicit stack, keeps ``nodes`` in
+        creation order, rebuilds the unique table, ``_zero_high`` and
+        ``_zero_low`` from the survivors under ``make_edge``'s keys, keeps
+        the survivors' ``_stab`` entries and empties ``_pair_memo``."""
+        marked = self._reach(roots)
+        self.nodes = [v for v in self.nodes if v.nid in marked]
+        table = self._table = ScalarKeyedTable()
+        zero_high = self._zero_high = {}
+        zero_low = self._zero_low = {}
+        for v in self.nodes[1:]:
+            low, high = v.low, v.high
+            if is_zero(low.label):
+                zero_low[high.target.nid] = v
+            elif is_zero(high.label):
+                zero_high[low.target.nid] = v
+            else:
+                disc = (low.target.nid, high.target.nid) + _lim_disc(high.label)
+                table.put(disc, high.label.scalar, v)
+        self._stab = {k: g for k, g in self._stab.items() if k in marked}
+        self._pair_memo = {}
+        return len(self.nodes) - 1
 
     # -- traversal ----------------------------------------------------------
 
@@ -558,16 +605,7 @@ class DiagramStore:
     def to_dot(self, e: Edge) -> str:
         """Graphviz text for the DAG under ``e``: one rank per level, dashed
         low edges, solid high edges, labels in debug form."""
-        reach: dict[int, Node] = {}
-        stack = [e.target]
-        while stack:
-            v = stack.pop()
-            if v.nid in reach:
-                continue
-            reach[v.nid] = v
-            if v.index > 0:
-                stack.append(v.low.target)
-                stack.append(v.high.target)
+        reach = self._reach([e])
         lines = [
             "digraph limdd {",
             "  rankdir=TB;",

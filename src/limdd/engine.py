@@ -46,6 +46,21 @@ explicit stack.  Log norms do not overflow where absolute norms reach 2^n.
 root, one branch probability per level; ``measurement_probability`` walks
 down level by level, carrying the probability of each (node, X parity on
 the measured qubit) pair.  Neither creates a node or recurses.
+
+Memory: ``collect`` sweeps the store (``DiagramStore.sweep``) down to what
+its roots reach: the current root, the identity diagrams of ``_identity``
+and the cached gate diagrams.  It sweeps only once the store holds
+``_SWEEP_RATIO`` times the nodes the last sweep kept, so the store stays
+within a constant factor of the live diagram and a sweep, linear in the
+store, costs O(1) amortized per node created.  A sweep empties the compute
+tables (Add, unary, reach and apply caches) and keeps the weights of the
+nodes it keeps.  ``circuit.build_engine`` calls it after every op;
+``run_gate`` and ``set_root`` never sweep, so a caller that holds an
+earlier root across gates keeps canonicity (the same state comes back as
+the same node) until it calls ``collect``.  Node ids are never reused, so a
+held edge still denotes its state after a sweep; but a dropped node that is
+built again is a new node, and a held edge to a dropped node must not be
+used as an operand.
 """
 
 from __future__ import annotations
@@ -97,6 +112,10 @@ MAT_1Q = {
 # projectors onto |0> and |1> (control blocks of gate diagrams)
 _PROJ = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
+# ``collect`` sweeps once the store holds this many times the nodes the last
+# sweep kept
+_SWEEP_RATIO = 4
+
 
 class EngineError(Exception):
     pass
@@ -118,7 +137,11 @@ class EngineStats:
     counts in no Add counter.  An identity block that ``apply_gate``
     returns as it is (qmdd mode) counts as an apply call, and as neither an
     apply-cache hit nor a miss.  The Adds that build a qmdd multi-controlled
-    X diagram (once per control pattern and target) count as Adds."""
+    X diagram (once per control pattern and target) count as Adds.
+
+    ``peak_nodes`` is the largest store size (``DiagramStore.node_count``)
+    seen at a gate boundary, taken before any sweep at that boundary;
+    ``sweeps`` counts the sweeps ``collect`` ran."""
 
     gate_count: int = 0
     apply_calls: int = 0
@@ -128,6 +151,7 @@ class EngineStats:
     add_cache_hits: int = 0
     add_cache_misses: int = 0
     peak_nodes: int = 0
+    sweeps: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -197,6 +221,7 @@ class Engine:
         self._reach_cache: dict = {}
         self._gate_dd_cache: dict = {}
         self._ids = [Edge(identity(0), self.store.leaf)]   # see _identity
+        self._kept = 0                                     # see collect
         self.set_root(e)
 
     # -- core combinators ---------------------------------------------------
@@ -811,6 +836,26 @@ class Engine:
             self.stats.peak_nodes = self.store.node_count()
         if self.debug:
             self.store.audit()
+
+    def collect(self) -> None:
+        """Sweep the store down to what the roots reach (the root, ``_ids``
+        and the cached gate diagrams) when it holds at least
+        ``_SWEEP_RATIO`` times the nodes the last sweep kept; the first call
+        always sweeps.  A sweep empties the compute tables and keeps the
+        weights of the nodes kept."""
+        store = self.store
+        if store.node_count() < _SWEEP_RATIO * self._kept:
+            return
+        self._kept = store.sweep([self.root, *self._ids, *self._gate_dd_cache.values()])
+        self.stats.sweeps += 1
+        self._add_cache = ScalarKeyedTable()
+        self._unary_cache = {}
+        self._reach_cache = {}
+        self._apply_cache = {}
+        kept = {v.nid for v in store.nodes}
+        self._weight_table = {k: w for k, w in self._weight_table.items() if k in kept}
+        if self.debug:
+            store.audit()
 
     def amplitude(self, bits) -> complex:
         return self.store.amplitude(self.root, bits)

@@ -247,6 +247,23 @@ def random_clifford_circuit(n: int, rng, depth: int) -> list:
     return out
 
 
+def cluster_circuit(rows: int, cols: int):
+    """The rows x cols cluster-state circuit (H on every qubit, then CZ on
+    every grid edge), user qubit r * cols + c at row r, column c."""
+    from limdd.circuit import Circuit
+
+    n = rows * cols
+    ops = [("h", (q,)) for q in range(n)]
+    for r in range(rows):
+        for c in range(cols):
+            q = r * cols + c
+            if c + 1 < cols:
+                ops.append(("cz", (q, q + 1)))
+            if r + 1 < rows:
+                ops.append(("cz", (q, q + cols)))
+    return Circuit(n, tuple(ops))
+
+
 def edge_from_dense(store, vec: np.ndarray):
     """Build the reduced diagram for a dense vector through make_edge only.
 

@@ -24,6 +24,7 @@ from limdd.circuit import (
 )
 from limdd.cli import main as cli_main
 from limdd.states import w_state_as_circuit
+from oracles import cluster_circuit
 
 BELL = "qubits 2\nh 0\ncx 0 1\n"
 
@@ -151,6 +152,30 @@ def test_dense_matches_engines_on_random_circuits():
         c = Circuit(n, tuple(ops))
         assert compare_modes(c, "limdd", "dense") < 1e-8
         assert compare_modes(c, "qmdd", "dense") < 1e-8
+
+
+@pytest.mark.parametrize(
+    "c",
+    [w_state_as_circuit(16), w_state_as_circuit(32), cluster_circuit(5, 5)],
+    ids=["w16", "w32", "cluster5x5"],
+)
+def test_compare_modes_samples_past_the_dense_limit(c):
+    assert c.n > circuit_mod.DENSE_LIMIT
+    assert compare_modes(c, "limdd", "qmdd") < 1e-8
+
+
+def test_sampled_comparison_sees_a_different_state(monkeypatch):
+    c = w_state_as_circuit(16)
+    flipped = Circuit(c.n, c.ops + (("x", (0,)),))
+    real = circuit_mod.build_engine
+    monkeypatch.setattr(
+        circuit_mod,
+        "build_engine",
+        lambda circ, mode: real(flipped if mode == "qmdd" else circ, mode),
+    )
+    assert compare_modes(c, "limdd", "qmdd") == pytest.approx(0.25)
+    with pytest.raises(CircuitError):
+        compare_modes(c, "limdd", "dense")
 
 
 def test_run_amplitudes_all_modes():
