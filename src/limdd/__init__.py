@@ -40,7 +40,6 @@ from .pauli import (
     find_opposite,
     format_lim,
     from_text,
-    group_product,
     identity,
     inverse,
     lex_cmp,
@@ -90,7 +89,6 @@ __all__ = [
     "find_opposite",
     "format_lim",
     "from_text",
-    "group_product",
     "identity",
     "inverse",
     "lex_cmp",

@@ -51,9 +51,7 @@ from .pauli import (
     scalar_cmp,
     scale,
     single,
-    strip_top,
     tensor_top,
-    top_factor,
     zero,
 )
 
@@ -114,8 +112,9 @@ class ScalarKeyedTable:
     scalar)``: such an s lies within tol = 2 * EPS_EQ * max(1, |scalar|) of
     the query in each coordinate, so the probed range is round((re +- tol) *
     1e9) x round((im +- tol) * 1e9).  Near |scalar| = 1 that is usually one
-    cell.  Matches are confirmed with ``_scalar_close``, so nearly-equal
-    scalars from different float paths land on one entry."""
+    cell, and then only that cell is probed.  Matches are confirmed with
+    ``_scalar_close``, so nearly-equal scalars from different float paths
+    land on one entry."""
 
     __slots__ = ("_d",)
 
@@ -128,14 +127,19 @@ class ScalarKeyedTable:
     def get(self, disc: tuple, scalar: complex):
         re, im = scalar.real, scalar.imag
         tol = 2.0 * EPS_EQ * max(1.0, abs(scalar))
+        r0, r1 = round((re - tol) * 1e9), round((re + tol) * 1e9)
+        i0, i1 = round((im - tol) * 1e9), round((im + tol) * 1e9)
         d = self._d
-        for rc in range(round((re - tol) * 1e9), round((re + tol) * 1e9) + 1):
-            for ic in range(round((im - tol) * 1e9), round((im + tol) * 1e9) + 1):
-                bucket = d.get((disc, rc, ic))
-                if bucket:
-                    for s, val in bucket:
-                        if _scalar_close(s, scalar):
-                            return val
+        if r0 == r1 and i0 == i1:
+            for s, val in d.get((disc, r0, i0), ()):
+                if _scalar_close(s, scalar):
+                    return val
+            return None
+        for rc in range(r0, r1 + 1):
+            for ic in range(i0, i1 + 1):
+                for s, val in d.get((disc, rc, ic), ()):
+                    if _scalar_close(s, scalar):
+                        return val
         return None
 
     def put(self, disc: tuple, scalar: complex, val) -> None:
@@ -174,14 +178,19 @@ class DiagramStore:
 
     Trivial-group lane: most nodes of a non-stabilizer state, and every
     node of an identity-group store, have the stabilizer group {I}.  There
-    the double-coset minimum of a label is the label itself, so
-    ``arg_lex_min``, ``root_label``, ``get_labels`` and ``_stab_recursive``
-    answer such queries directly, with what the general path computes on
-    that input and without an elimination.  For ``_stab_recursive`` that
-    includes a node whose children are one node with group {I}: its group
-    is at most one swap row (``_swap_rows``), which covers every level-one
-    node with a nonzero high edge.  ``follow`` likewise skips the Pauli
-    algebra for a label whose string is the identity."""
+    the double-coset minimum of a label is the label itself.  ``make_edge``
+    takes the lane when both children's ``_stab`` entries have no rows, or
+    the store is identity-group: ``_trivial_choice`` picks the high scalar,
+    ``_trivial_root`` builds the root label, and a new node's group comes
+    from ``_trivial_stab`` (at most one swap row, ``_swap_rows``), with no
+    call to ``get_labels``, ``get_stabilizer_gen_set`` or the coset
+    machinery.  A child missing from ``_stab`` (a node a sweep dropped)
+    takes the general path, which rebuilds its group.  ``get_labels`` and
+    ``_stab_recursive`` answer trivial groups with the same helpers, and
+    ``arg_lex_min`` and ``root_label`` return the label itself, so every
+    route computes the same result without an elimination.  ``follow``
+    computes a branch label in one product, and skips the Pauli algebra
+    for a label whose string is the identity."""
 
     def __init__(self, group: str = "pauli"):
         if group not in ("pauli", "identity"):
@@ -282,15 +291,24 @@ class DiagramStore:
             if is_zero(c):
                 return Edge(c, branch.target)
             return Edge(PauliLim(c.n, c.x, c.z, a.scalar * c.scalar), branch.target)
-        x, zb = top_factor(a)
-        rest = strip_top(a)
-        z1 = _PHASES[(x & zb) % 4]
-        z2 = -z1 if zb else z1
+        # a = lambda P (x) R: the top factor P picks the branch and a phase,
+        # and the branch label becomes (phase lambda R) . c in one product
+        t = v.index - 1
+        x, zb = (a.x >> t) & 1, (a.z >> t) & 1
         branch = v.low if x == b else v.high
-        diag = z1 if x == b else z2
-        if is_zero(branch.label):
-            return Edge(zero(v.index - 1), branch.target)
-        return Edge(mul(scale(diag, rest), branch.label), branch.target)
+        c = branch.label
+        if is_zero(c):
+            return Edge(zero(t), branch.target)
+        diag = _PHASES[x & zb]
+        if zb and x != b:
+            diag = -diag
+        mask = (1 << t) - 1
+        rx, rz = a.x & mask, a.z & mask
+        phi = phase_exp(rx, rz, c.x, c.z)
+        return Edge(
+            PauliLim(t, rx ^ c.x, rz ^ c.z, diag * a.scalar * c.scalar * _PHASES[phi]),
+            branch.target,
+        )
 
     def amplitude(self, e: Edge, bits) -> complex:
         """Amplitude of the basis state given as bits with bits[0] the top qubit."""
@@ -470,9 +488,7 @@ class DiagramStore:
         v1 = v.high.target
         g1 = g0 if v1 is v0 else self.get_stabilizer_gen_set(v1)
         if not (g0.rows or g1.rows):
-            # no meet and no opposite element; at most one swap row holds
-            rows = _swap_rows(a1, None) if v0 is v1 else []
-            return GeneratorSet(m, rows) if rows else self.empty_set(m)
+            return self._trivial_stab(m, a1, v0 is v1)
         _, _, opp, meet = self._pair(g0, conjugate_group(a1, g1))
         # diagonal stabilizers: I (x) (G0 meet G1) and Z (x) h, h in G0, -h in G1
         new = []
@@ -486,7 +502,30 @@ class DiagramStore:
             new += _swap_rows(a1, opp)
         return rref_insert(GeneratorSet.packed(m, meet.rows, meet.signs), new)
 
+    def _trivial_stab(self, m: int, a1: PauliLim, same: bool) -> GeneratorSet:
+        """The group of the level-m node (I v0, a1 v1) whose children both
+        have the group {I}: no meet and no opposite element, so at most one
+        swap row, and only when the children are one node (``same``)."""
+        rows = _swap_rows(a1, None) if same else []
+        return GeneratorSet(m, rows) if rows else self.empty_set(m)
+
     # -- canonicalizing constructor -----------------------------------------
+
+    def _trivial_choice(self, a_hat: PauliLim, same: bool) -> tuple[complex, int, int]:
+        """(scalar, x, s) of the canonical high label scalar * P of
+        node(I v0, a_hat v1), a_hat = lambda P, when both children have the
+        group {I} (every child of an identity-group store does): the double
+        coset of a_hat is a_hat alone, so only the scalar is chosen, from
+        lambda and -lambda and, when the children are one node (``same``),
+        1/lambda and -1/lambda.  x says the 1/lambda branch swap was taken,
+        s the sign flip; ``_trivial_root`` turns them into the root
+        correction.  An identity-group store has no X or Z correction, so
+        it keeps lambda and rejects a Pauli string."""
+        if self.group == "identity":
+            if not a_hat.is_identity_string():
+                raise DiagramError("identity-group store cannot hold Pauli labels")
+            return a_hat.scalar, 0, 0
+        return _pick_scalar(a_hat.scalar, 1.0, same)
 
     def get_labels(
         self, a_hat: PauliLim, v0: Node, v1: Node
@@ -494,36 +533,20 @@ class DiagramStore:
         """Canonical high label for the isomorphism class of node(I v0, a_hat v1)
         and the root correction so that <B_root, node(I v0, B_high v1)> equals
         |0>|v0> + |1> a_hat |v1>."""
-        if self.group == "identity":
-            # the only isomorphisms available are scalars, and low factoring
-            # already spent the scalar freedom: no normalization choice left
-            if not a_hat.is_identity_string():
-                raise DiagramError("identity-group store cannot hold Pauli labels")
-            return a_hat, identity(a_hat.n + 1)
+        n = a_hat.n
         g0 = self.get_stabilizer_gen_set(v0)
         g1 = self.get_stabilizer_gen_set(v1)
-        lam = a_hat.scalar
-        p_unit = PauliLim(a_hat.n, a_hat.x, a_hat.z, 1.0)
-        if g0.rows or g1.rows:
-            w0, w1, _ = self.arg_lex_min(g0, g1, a_hat)
-            m = mul(mul(w0, p_unit), w1)
-        else:
-            w0, m = identity(a_hat.n), p_unit
+        if not (g0.rows or g1.rows):
+            best, x, s = self._trivial_choice(a_hat, v0 is v1)
+            return PauliLim(n, a_hat.x, a_hat.z, best), _trivial_root(identity(n), a_hat, x, s)
+        w0, w1, _ = self.arg_lex_min(g0, g1, a_hat)
+        m = mul(mul(w0, PauliLim(n, a_hat.x, a_hat.z, 1.0)), w1)
         # every candidate carries m's string, so only the scalars compete
-        best = None
-        choice = (0, 0)
-        xs_options = ((0, 0), (0, 1), (1, 0), (1, 1)) if v0 is v1 else ((0, 0), (0, 1))
-        for x, s in xs_options:
-            lam_x = lam if x == 0 else 1.0 / lam
-            cand = (-lam_x if s else lam_x) * m.scalar
-            if best is None or scalar_cmp(cand, best) < 0:
-                best = cand
-                choice = (x, s)
-        x, s = choice
+        best, x, s = _pick_scalar(a_hat.scalar, m.scalar, v0 is v1)
         b_root = tensor_top("Z" if s else "I", inverse(w0))
         if x:
             b_root = mul(tensor_top("X", a_hat), b_root)
-        return PauliLim(m.n, m.x, m.z, best), b_root
+        return PauliLim(n, m.x, m.z, best), b_root
 
     def make_edge(self, e0: Edge, e1: Edge) -> Edge:
         """The canonical edge for |0>|e0> + |1>|e1>; the single way nodes enter
@@ -532,11 +555,12 @@ class DiagramStore:
         v0, v1 = e0.target, e1.target
         if v0.index != v1.index:
             raise DiagramError("children must sit on the same level")
-        if is_zero(a) and is_zero(b):
+        za, zb = is_zero(a), is_zero(b)
+        if za and zb:
             raise DiagramError("the all-zero vector has no node")
         m = v0.index
         if self.group == "identity":
-            if is_zero(a):
+            if za:
                 # no X correction available to swap the zero branch away;
                 # keep a zero low edge, normalized to a unit high label
                 node = self._zero_low.get(v1.nid)
@@ -546,10 +570,10 @@ class DiagramStore:
                     )
                     self._zero_low[v1.nid] = node
                 return Edge(tensor_top("I", b), node)
-        elif is_zero(a) or (not is_zero(b) and v0.nid > v1.nid):
+        elif za or (not zb and v0.nid > v1.nid):
             res = self.make_edge(e1, e0)
             return Edge(mul(single(m + 1, m + 1, "X"), res.label), res.target)
-        if is_zero(b):
+        if zb:
             node = self._zero_high.get(v0.nid)
             if node is None:
                 node = self._new_node(
@@ -559,6 +583,23 @@ class DiagramStore:
                 self.get_stabilizer_gen_set(node)
             return Edge(tensor_top("I", a), node)
         a_hat = mul(inverse(a), b)
+        g0 = self._stab.get(v0.nid)
+        g1 = self._stab.get(v1.nid)
+        if self.group == "identity" or (
+            g0 is not None and g1 is not None and not (g0.rows or g1.rows)
+        ):
+            # trivial-group lane (a child missing from ``_stab`` was dropped
+            # by a sweep and takes the general path, which rebuilds its group)
+            best, x, s = self._trivial_choice(a_hat, v0 is v1)
+            disc = (v0.nid, v1.nid, a_hat.x, a_hat.z)
+            node = self._table.get(disc, best)
+            if node is None:
+                b_high = PauliLim(m, a_hat.x, a_hat.z, best)
+                node = self._new_node(m + 1, Edge(identity(m), v0), Edge(b_high, v1))
+                self._table.put(disc, best, node)
+                if self.group == "pauli":
+                    self._stab[node.nid] = self._trivial_stab(m + 1, b_high, v0 is v1)
+            return Edge(_trivial_root(a, a_hat, x, s), node)
         b_high, b_root = self.get_labels(a_hat, v0, v1)
         disc = (v0.nid, v1.nid) + _lim_disc(b_high)
         node = self._table.get(disc, b_high.scalar)
@@ -658,6 +699,32 @@ def _swap_rows(a1: PauliLim, opp: Optional[PauliLim]) -> list[PauliLim]:
         elif opp is not None and abs(q + 1.0) <= EPS_EQ:
             rows.append(tensor_top(letter, mul(scale(c, a1), opp)))
     return rows
+
+
+def _pick_scalar(lam: complex, ms: complex, same: bool) -> tuple[complex, int, int]:
+    """(best, x, s): the scalar_cmp-least of (+-lam_x) * ms, lam_0 = lam and,
+    when ``same``, lam_1 = 1/lam; ties keep the earlier (x, s)."""
+    best = None
+    choice = (0, 0)
+    for x, s in ((0, 0), (0, 1), (1, 0), (1, 1)) if same else ((0, 0), (0, 1)):
+        lam_x = lam if x == 0 else 1.0 / lam
+        cand = (-lam_x if s else lam_x) * ms
+        if best is None or scalar_cmp(cand, best) < 0:
+            best = cand
+            choice = (x, s)
+    return (best,) + choice
+
+
+def _trivial_root(a: PauliLim, a_hat: PauliLim, x: int, s: int) -> PauliLim:
+    """(I (x) a) . B_root for the choice (x, s) of ``_trivial_choice``, where
+    B_root = (X (x) a_hat)^x (Z^s (x) I)."""
+    m = a.n
+    top = 1 << m
+    if not x:
+        return PauliLim(m + 1, a.x, a.z | (top if s else 0), a.scalar)
+    r = mul(PauliLim(m + 1, a.x, a.z, a.scalar), PauliLim(m + 1, a_hat.x | top, a_hat.z, a_hat.scalar))
+    # (X (x) c)(Z (x) I) = -i Y (x) c
+    return PauliLim(m + 1, r.x, r.z | top, -1j * r.scalar) if s else r
 
 
 def _lim(n: int, x: int, z: int, s: int) -> PauliLim:

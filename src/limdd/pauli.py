@@ -176,18 +176,6 @@ def tensor_top(letter: str, a: Lim, extra_scalar: complex = 1.0) -> Lim:
     return scale(extra_scalar, out) if extra_scalar != 1.0 else out
 
 
-def top_factor(a: PauliLim) -> tuple[int, int]:
-    """(x, z) bits of the top-qubit factor of ``a``."""
-    b = a.n - 1
-    return (a.x >> b) & 1, (a.z >> b) & 1
-
-
-def strip_top(a: PauliLim) -> PauliLim:
-    """Drop the top-qubit factor, keeping the scalar on the remaining string."""
-    mask = (1 << (a.n - 1)) - 1
-    return PauliLim(a.n - 1, a.x & mask, a.z & mask, a.scalar)
-
-
 # ---------------------------------------------------------------------------
 # ordering and text form
 
@@ -481,23 +469,6 @@ def gf2_eliminate(keys: Sequence[int]) -> tuple[list[tuple[int, int]], list[int]
         pivots |= 1 << piv
         seen |= key
     return [tuple(basis[p]) for p in sorted(basis, reverse=True)], kernel
-
-
-def group_product(gens: Sequence[PauliLim], mask: int, n: int) -> PauliLim:
-    """Exact product of the generators selected by ``mask`` bits.
-
-    Well defined without an ordering convention because stabilizer
-    generators commute."""
-    if not mask:
-        return identity(n)
-    low = mask & -mask
-    res = gens[low.bit_length() - 1]
-    mask ^= low
-    while mask:
-        low = mask & -mask
-        res = mul(res, gens[low.bit_length() - 1])
-        mask ^= low
-    return res
 
 
 def rref(g: GeneratorSet) -> GeneratorSet:

@@ -6,7 +6,9 @@ caller gets the node store, statistics and measurement machinery along with
 the edge.  Graph and coset states are built directly as towers (one node per
 level) with the defining labels on the high edges; "qmdd" variants run the
 equivalent gate circuit instead, since identity-group labels cannot carry
-the Pauli strings the direct towers use.
+the Pauli strings the direct towers use.  Constructors that run gates sweep
+the store after each one (``Engine.collect``), as ``circuit.build_engine``
+does.
 
 Vertex v of a graph maps to qubit level n - v, so vertex 0 is the top qubit
 and bit strings read left to right match the vertex order.
@@ -70,8 +72,10 @@ def graph_state(g: Graph, mode: str = "limdd") -> Engine:
     if mode == "qmdd":
         for k in range(1, g.n + 1):
             eng.run_gate("h", k)
+            eng.collect()
         for a, b in sorted(g.edges):
             eng.run_gate("cz", g.n - a, g.n - b)
+            eng.collect()
         return eng
     store = eng.store
     er = Edge(identity(0), store.leaf)
@@ -133,6 +137,7 @@ def stabilizer_state(n: int, gates, mode: str = "limdd") -> Engine:
         if gate[0] not in ("h", "s", "cx"):
             raise StateError(f"non-Clifford gate {gate[0]!r}")
         eng.run_gate(*gate)
+        eng.collect()
     return eng
 
 

@@ -177,6 +177,38 @@ def test_follow_antidiagonal_label_routes_high():
     assert got0.target is e.target.high.target
 
 
+def test_follow_matches_dense_slices():
+    # every top letter of the followed label, both branches, non-unit
+    # scalars, and nodes with and without a zero high branch
+    rng = np.random.default_rng(97)
+    store = DiagramStore()
+    letters = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+    zero_branches = 0
+    for n in (1, 2, 3, 4):
+        nodes = [
+            edge_from_dense(store, random_vec(rng, n)).target,
+            edge_from_dense(store, stabilizer_vec(rng, n)).target,
+        ]
+        w = edge_from_dense(store, random_vec(rng, n - 1)).target
+        nodes.append(store.make_edge(Edge(pl.identity(n - 1), w), Edge(pl.zero(n - 1), w)).target)
+        for v in nodes:
+            dense_v = store.to_dense(Edge(pl.identity(n), v))
+            for xb, zb in letters.values():
+                rest = int(rng.integers(0, 1 << (n - 1)))
+                scalar = complex(rng.normal(), rng.normal())
+                a = pl.PauliLim(
+                    n, rest | (xb << (n - 1)), int(rng.integers(0, 1 << (n - 1))) | (zb << (n - 1)), scalar
+                )
+                want = apply_lim_dense(a, dense_v)
+                for b in (0, 1):
+                    got = store.follow(Edge(a, v), b)
+                    assert got.target.index == n - 1
+                    half = want[b << (n - 1):(b + 1) << (n - 1)]
+                    np.testing.assert_allclose(store.to_dense(got), half, atol=1e-12)
+                    zero_branches += pl.is_zero(got.label)
+    assert zero_branches
+
+
 def test_follow_on_leaf_errors():
     store = DiagramStore()
     with pytest.raises(DiagramError):
@@ -583,6 +615,131 @@ def test_get_labels_trivial_groups_reproduce_the_state():
             assert_lim_close(best, lex_smallest(cands), tol=1e-12)
     assert seen[True] and seen[False]
     assert not store._pair_memo
+
+
+def general_labels(store, a_hat, v0, v1):
+    """``get_labels`` on the double-coset route whatever the groups: the
+    arg_lex_min representative, then the four-way scalar choice."""
+    n = a_hat.n
+    g0 = store.get_stabilizer_gen_set(v0)
+    g1 = store.get_stabilizer_gen_set(v1)
+    w0, w1, _ = store.arg_lex_min(g0, g1, a_hat)
+    m = pl.mul(pl.mul(w0, pl.PauliLim(n, a_hat.x, a_hat.z, 1.0)), w1)
+    best = choice = None
+    for x, s in ((0, 0), (0, 1), (1, 0), (1, 1)) if v0 is v1 else ((0, 0), (0, 1)):
+        lam_x = a_hat.scalar if x == 0 else 1.0 / a_hat.scalar
+        cand = (-lam_x if s else lam_x) * m.scalar
+        if best is None or pl.scalar_cmp(cand, best) < 0:
+            best, choice = cand, (x, s)
+    x, s = choice
+    b_root = pl.tensor_top("Z" if s else "I", pl.inverse(w0))
+    if x:
+        b_root = pl.mul(pl.tensor_top("X", a_hat), b_root)
+    return pl.PauliLim(n, m.x, m.z, best), b_root
+
+
+def assert_lane_edge(store, e, a, b, v0, v1, want_high, want_root):
+    high = e.target.high.label
+    assert e.target.low.target is v0 and e.target.high.target is v1
+    assert (high.x, high.z) == (want_high.x, want_high.z)
+    assert abs(high.scalar - want_high.scalar) <= pl.EPS_EQ
+    assert_lim_close(e.label, want_root, tol=pl.EPS_EQ)
+    n = a.n
+    want = np.concatenate(
+        [
+            apply_lim_dense(a, store.to_dense(Edge(pl.identity(n), v0))),
+            apply_lim_dense(b, store.to_dense(Edge(pl.identity(n), v1))),
+        ]
+    )
+    np.testing.assert_allclose(store.to_dense(e), want, atol=1e-9)
+    if store.group == "pauli":
+        node_vec = store.to_dense(Edge(pl.identity(n + 1), e.target))
+        brute = {
+            (p.x, p.z, 1 if p.scalar.real > 0 else -1)
+            for p in brute_stabilizer_elements(node_vec)
+        }
+        assert group_keys(store._stab[e.target.nid]) == brute
+
+
+def test_trivial_group_lane_matches_general_labels():
+    # make_edge on {I}-group children (one node and two) gives the high
+    # label and root of the general get_labels route, for labels of every
+    # top letter; so does get_labels itself
+    rng = np.random.default_rng(89)
+    tops = set()
+    seen = {True: 0, False: 0}
+    swaps = 0
+    pool = (1.0, -1.0, 1j, 0.5, 2.0, -0.5j, 0.3 - 0.7j)
+    for n in (1, 2, 3):
+        store = DiagramStore()
+        nodes = sorted(
+            (edge_from_dense(store, random_vec(rng, n)).target for _ in range(4)),
+            key=lambda v: v.nid,
+        )
+        for _ in range(80):
+            i = int(rng.integers(0, 4))
+            v0, v1 = nodes[i], nodes[i if rng.integers(0, 2) else int(rng.integers(i, 4))]
+            assert not (store._stab[v0.nid].rows or store._stab[v1.nid].rows)
+            seen[v0 is v1] += 1
+            a = random_pauli(rng, n, scalar_pool=pool)
+            b = random_pauli(rng, n, scalar_pool=pool)
+            tops.add(((a.x >> (n - 1)) & 1, (a.z >> (n - 1)) & 1))
+            a_hat = pl.mul(pl.inverse(a), b)
+            want_high, b_root = general_labels(store, a_hat, v0, v1)
+            got_high, got_root = store.get_labels(a_hat, v0, v1)
+            assert (got_high.x, got_high.z, got_high.scalar) == (want_high.x, want_high.z, want_high.scalar)
+            assert_lim_close(got_root, b_root, tol=pl.EPS_EQ)
+            want_root = pl.mul(pl.tensor_top("I", a), b_root)
+            swaps += want_root.x >> n
+            e = store.make_edge(Edge(a, v0), Edge(b, v1))
+            assert_lane_edge(store, e, a, b, v0, v1, want_high, want_root)
+        store.audit()
+        assert not store._pair_memo
+    assert len(tops) == 4 and seen[True] and seen[False] and swaps
+
+
+def test_trivial_group_lane_identity_store():
+    rng = np.random.default_rng(101)
+    for n in (1, 2, 3):
+        store = DiagramStore(group="identity")
+        nodes = [edge_from_dense(store, random_vec(rng, n)).target for _ in range(3)]
+        for _ in range(20):
+            v0 = nodes[int(rng.integers(0, 3))]
+            v1 = nodes[int(rng.integers(0, 3))]
+            a = pl.PauliLim(n, 0, 0, complex(rng.normal(), rng.normal()))
+            b = pl.PauliLim(n, 0, 0, complex(rng.normal(), rng.normal()))
+            e = store.make_edge(Edge(a, v0), Edge(b, v1))
+            # no normalization choice: the high label is a^-1 b as computed
+            assert_lane_edge(
+                store, e, a, b, v0, v1, pl.mul(pl.inverse(a), b), pl.tensor_top("I", a)
+            )
+        store.audit()
+        assert list(store._stab) == [0]
+        x = pl.PauliLim(n, 1, 0, 1.0)
+        with pytest.raises(DiagramError):
+            store.make_edge(Edge(x, nodes[0]), Edge(pl.identity(n), nodes[1]))
+
+
+def test_trivial_group_lane_falls_back_for_a_child_missing_from_stab():
+    # a child without a ``_stab`` entry takes the general path, which
+    # rebuilds the entry and gives the same edge
+    rng = np.random.default_rng(103)
+    n = 2
+    store = DiagramStore()
+    v0, v1 = sorted(
+        (edge_from_dense(store, random_vec(rng, n)).target for _ in range(2)), key=lambda v: v.nid
+    )
+    for w0, w1 in ((v0, v1), (v1, v1)):
+        del store._stab[w1.nid]
+        a = random_pauli(rng, n, scalar_pool=(0.5, -2.0j))
+        b = random_pauli(rng, n, scalar_pool=(1.5, 0.3 + 0.4j))
+        e = store.make_edge(Edge(a, w0), Edge(b, w1))
+        assert not store._stab[w1.nid].rows
+        want_high, b_root = general_labels(store, pl.mul(pl.inverse(a), b), w0, w1)
+        want_root = pl.mul(pl.tensor_top("I", a), b_root)
+        assert_lane_edge(store, e, a, b, w0, w1, want_high, want_root)
+        assert e.target.nid in store._stab
+    store.audit()
 
 
 def test_arg_lex_min_on_trivial_groups_is_the_label():

@@ -186,6 +186,15 @@ def test_rref_detects_minus_identity():
         pl.rref(g)
 
 
+def selected_product(gens, mask, n):
+    """The product of the commuting generators whose bits ``mask`` sets."""
+    res = pl.identity(n)
+    for i, g in enumerate(gens):
+        if (mask >> i) & 1:
+            res = pl.mul(res, g)
+    return res
+
+
 def test_rref_insert_matches_rref():
     # a reduced basis plus up to three commuting rows (pivots hidden under
     # basis elements), sometimes with a dependent row that multiplies to +I
@@ -198,13 +207,13 @@ def test_rref_insert_matches_rref():
         j = int(rng.integers(0, len(full) + 1))
         basis = pl.rref(pl.GeneratorSet(n, full.gens[:j]))
         rows = [
-            pl.mul(r, pl.group_product(basis.gens, int(rng.integers(0, 1 << len(basis))), n))
+            pl.mul(r, selected_product(basis.gens, int(rng.integers(0, 1 << len(basis))), n))
             for r in full.gens[j:j + 3]
         ]
         kind = int(rng.integers(0, 3))   # 0: as is, 1: +I dependent, 2: -I dependent
         pool = list(basis.gens) + rows
         if kind and pool and len(rows) < 3:
-            dep = pl.group_product(pool, int(rng.integers(1, 1 << len(pool))), n)
+            dep = selected_product(pool, int(rng.integers(1, 1 << len(pool))), n)
             rows.insert(int(rng.integers(0, len(rows) + 1)), pl.neg(dep) if kind == 2 else dep)
         try:
             want = pl.rref(pl.GeneratorSet(n, list(basis.gens) + rows))

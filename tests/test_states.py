@@ -100,6 +100,24 @@ def test_graph_state_gate_route_agrees():
         assert via_gates.node_count() >= direct.node_count()
 
 
+def test_gate_constructors_keep_the_store_bounded():
+    # graph_state in qmdd mode and stabilizer_state sweep after every gate,
+    # so the store ends within the sweep ratio of what the last sweep kept
+    from limdd.engine import _SWEEP_RATIO
+
+    rng = np.random.default_rng(47)
+    engines = [
+        cluster_state(6, 6, mode="qmdd"),
+        stabilizer_state(24, random_clifford_circuit(24, rng, 200)),
+    ]
+    for eng in engines:
+        assert eng.stats.sweeps > 1
+        assert eng.store.node_count() < _SWEEP_RATIO * eng._kept
+    assert engines[0].node_count() == 1725
+    assert engines[1].node_count() == 24
+    engines[1].store.audit()
+
+
 def test_graph_validation():
     with pytest.raises(StateError):
         Graph(2, frozenset({(0, 0)}))
