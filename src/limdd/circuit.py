@@ -15,11 +15,12 @@ simulate/compare plumbing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .engine import MAT_1Q, Engine
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSE_LIMIT = 14
 COMPARE_SAMPLES = 64   # strings per engine in compare_modes past DENSE_LIMIT
@@ -143,6 +144,8 @@ def dense_simulate(c: Circuit) -> np.ndarray:
     only the 1-qubit matrix table with them."""
     if c.n > DENSE_LIMIT:
         raise CircuitError(f"dense simulation limited to {DENSE_LIMIT} qubits")
+    import numpy as np
+
     vec = np.zeros(1 << c.n, dtype=complex)
     vec[0] = 1.0
     for name, qs in c.ops:
@@ -151,9 +154,11 @@ def dense_simulate(c: Circuit) -> np.ndarray:
 
 
 def _dense_gate(vec: np.ndarray, name: str, qs: tuple, n: int) -> np.ndarray:
+    import numpy as np
+
     if name in MAT_1Q:
         t = np.moveaxis(vec.reshape((2,) * n), qs[0], 0)
-        t = (MAT_1Q[name] @ t.reshape(2, -1)).reshape(t.shape)
+        t = (np.array(MAT_1Q[name]) @ t.reshape(2, -1)).reshape(t.shape)
         return np.moveaxis(t, 0, qs[0]).reshape(-1)
     idx = np.arange(vec.size)
     if name == "mcx":
@@ -234,6 +239,8 @@ def run(config: RunConfig, circuit: Circuit) -> dict:
         report["amplitudes"] = amps
 
     if config.shots:
+        import numpy as np
+
         rng = np.random.default_rng(config.seed)
         measured = measured_qubits(circuit) or list(range(circuit.n))
         counts: dict = {}
@@ -267,6 +274,8 @@ def _draw_shots(eng, vec, shots, n, rng):
     which draws the same outcomes as one call per shot."""
     if vec is None:
         return (eng.sample(rng) for _ in range(shots))
+    import numpy as np
+
     probs = np.abs(vec) ** 2
     draws = rng.choice(probs.size, size=shots, p=probs / probs.sum())
     return (format(int(i), f"0{n}b") for i in draws)
@@ -291,6 +300,8 @@ def compare_modes(circuit: Circuit, mode_a: str, mode_b: str) -> float:
     basis strings drawn from each engine's own distribution with a fixed
     seed.  A disagreement carrying little probability mass in both states
     can escape the sample."""
+    import numpy as np
+
     if circuit.n <= DENSE_LIMIT:
         vecs = []
         for mode in (mode_a, mode_b):

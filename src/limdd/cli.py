@@ -9,7 +9,6 @@ import click
 
 from .circuit import CircuitError, ParseError, RunConfig, parse_circuit, run
 from .engine import EngineError
-from .stabrank import StabRankError, search_with_restarts
 from .states import StateError
 
 _COMPARE_TOL = 1e-8
@@ -130,6 +129,8 @@ def _print_report(report: dict) -> None:
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 def stabrank_command(n, w, chi, restarts, seed, as_json):
     """Search for a rank-CHI stabilizer decomposition of the Dicke state."""
+    from .stabrank import StabRankError, search_with_restarts
+
     try:
         result = search_with_restarts(n, w, chi, restarts=restarts, seed=seed)
     except (StabRankError, StateError) as exc:

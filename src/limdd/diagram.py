@@ -25,12 +25,11 @@ stored exactly; stabilizer sets are trivial throughout.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .pauli import (
     EPS_EQ,
+    EPS_ORD,
     GeneratorSet,
     Lim,
     PauliLim,
@@ -54,6 +53,9 @@ from .pauli import (
     tensor_top,
     zero,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -327,6 +329,8 @@ class DiagramStore:
 
     def to_dense(self, e: Edge) -> np.ndarray:
         """Dense statevector (index bit k-1 = qubit k, top qubit most significant)."""
+        import numpy as np
+
         memo: dict[int, np.ndarray] = {}
 
         def node_vec(v: Node) -> np.ndarray:
@@ -703,16 +707,42 @@ def _swap_rows(a1: PauliLim, opp: Optional[PauliLim]) -> list[PauliLim]:
 
 def _pick_scalar(lam: complex, ms: complex, same: bool) -> tuple[complex, int, int]:
     """(best, x, s): the scalar_cmp-least of (+-lam_x) * ms, lam_0 = lam and,
-    when ``same``, lam_1 = 1/lam; ties keep the earlier (x, s)."""
-    best = None
-    choice = (0, 0)
-    for x, s in ((0, 0), (0, 1), (1, 0), (1, 1)) if same else ((0, 0), (0, 1)):
-        lam_x = lam if x == 0 else 1.0 / lam
-        cand = (-lam_x if s else lam_x) * ms
-        if best is None or scalar_cmp(cand, best) < 0:
-            best = cand
-            choice = (x, s)
-    return (best,) + choice
+    when ``same``, lam_1 = 1/lam; ties keep the earlier (x, s).
+
+    Each sign pair is settled by ``_signed`` without an angle.  The two pair
+    winners differ by magnitude unless |lam| is near 1; only a magnitude
+    tie (within EPS_ORD) between unequal winners goes to scalar_cmp."""
+    c, s = _signed(lam, ms)
+    if not same:
+        return c, 0, s
+    c1, s1 = _signed(1.0 / lam, ms)
+    if c1 != c:
+        r1, r = abs(c1), abs(c)
+        less = r1 < r if abs(r1 - r) > EPS_ORD else scalar_cmp(c1, c) < 0
+        if less:
+            return c1, 1, s1
+    return c, 0, s
+
+
+def _signed(lam: complex, ms: complex) -> tuple[complex, int]:
+    """(c, s): the scalar_cmp-lesser of lam * ms (s = 0) and -lam * ms
+    (s = 1), earlier on a tie.
+
+    The two have one magnitude and angles pi apart, and scalar_cmp snaps
+    angles within EPS_ORD below 2 pi to 0, so -lam * ms is the lesser
+    exactly when the angle of lam * ms lies in [pi - EPS_ORD, 2 pi -
+    EPS_ORD): a half-plane test.  A scalar off the real axis by more than
+    1e-6 of its real part, or by at most 1e-12 of it, is clear of both
+    edges; only one in between, where the edges lie, goes to scalar_cmp."""
+    c = lam * ms
+    off, re = abs(c.imag), abs(c.real)
+    if off > 1e-6 * re:
+        flip = c.imag < 0
+    elif off <= 1e-12 * re:
+        flip = c.real < 0
+    else:
+        flip = scalar_cmp(-lam * ms, c) < 0
+    return (-lam * ms, 1) if flip else (c, 0)
 
 
 def _trivial_root(a: PauliLim, a_hat: PauliLim, x: int, s: int) -> PauliLim:
@@ -762,6 +792,8 @@ def _same_string_meet(g0: GeneratorSet, signs1: int) -> tuple:
 def lim_apply_dense(a: Lim, vec: np.ndarray) -> np.ndarray:
     """Apply a LIM to a dense vector (to_dense, the annealer's moves, and
     the oracle route for tests)."""
+    import numpy as np
+
     if isinstance(a, ZeroLim):
         return np.zeros_like(vec)
     if a.x == 0 and a.z == 0:

@@ -20,16 +20,20 @@ In "limdd" mode every gate takes a structural route:
   * multi-controlled X is built from projections and Adds.
 
 A "qmdd" engine forces the identity label group and routes every gate,
-multi-controlled X included, through generic matrix application of a
-2n-level gate diagram, since the structural updates write Pauli factors
-onto labels.  The identity on m qubits is one canonical node, kept per
-level (``_identity``); the gate diagrams are built on it, and an identity
-block met during the apply returns the operand as it is, so the apply
-never descends below a gate's lowest qubit, nor into the control-0 half of
-a controlled gate.  Multi-controlled X is the diagram I - P + X_t P, P the
-tensor product of the control projectors.  Its nodes all have the trivial
-stabilizer group, so its cache keys are the labels themselves and it never
-runs a stabilizer elimination (see ``DiagramStore``).
+multi-controlled X included, through generic matrix application of a gate
+diagram, since the structural updates write Pauli factors onto labels.  A
+gate whose highest qubit is k has a local diagram of 2k levels, on qubits
+1..k only: the gate is the identity on every qubit above, where the apply
+passes u down to both children of the state's node with no zero block and
+no Add.  The identity on m qubits is one canonical node, kept per level
+(``_identity``); the gate diagrams are built on it, and an identity
+diagram of any level met during the apply returns the operand as it is,
+so the apply never descends below a gate's lowest qubit, nor into the
+control-0 half of a controlled gate.  Multi-controlled X is the diagram
+I - P + X_t P, P the tensor product of the control projectors.  Its nodes
+all have the trivial stabilizer group, so its cache keys are the labels
+themselves and it never runs a stabilizer elimination (see
+``DiagramStore``).
 
 Add, the butterfly and the cross-select share one computed table, keyed by
 both targets and the root label of the first label's inverse times the
@@ -49,15 +53,15 @@ the measured qubit) pair.  Neither creates a node or recurses.
 
 Memory: ``collect`` sweeps the store (``DiagramStore.sweep``) down to what
 its roots reach: the current root, the identity diagrams of ``_identity``
-and the cached gate diagrams.  It sweeps only once the store holds
-``_SWEEP_RATIO`` times the nodes the last sweep kept, so the store stays
-within a constant factor of the live diagram and a sweep, linear in the
-store, costs O(1) amortized per node created.  A sweep empties the compute
-tables (Add, unary, reach and apply caches) and keeps the weights of the
-nodes it keeps.  ``circuit.build_engine`` calls it after every op;
-``run_gate`` and ``set_root`` never sweep, so a caller that holds an
-earlier root across gates keeps canonicity (the same state comes back as
-the same node) until it calls ``collect``.  Node ids are never reused, so a
+and the cached gate diagrams, each as tall as its gate's highest qubit.  It
+sweeps only once the store holds ``_SWEEP_RATIO`` times the nodes the last
+sweep kept, so the store stays within a constant factor of the live diagram
+and a sweep, linear in the store, costs O(1) amortized per node created.
+A sweep empties the compute tables (Add, unary, reach and apply caches) and
+keeps the weights of the nodes it keeps.  ``circuit.build_engine`` calls it
+after every op; ``run_gate`` and ``set_root`` never sweep, so a caller that
+holds an earlier root across gates keeps canonicity (the same state comes
+back as the same node) until it calls ``collect``.  Node ids are never reused, so a
 held edge still denotes its state after a sweep; but a dropped node that is
 built again is a new node, and a held edge to a dropped node must not be
 used as an operand.
@@ -70,9 +74,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 from types import GeneratorType
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .diagram import DiagramStore, Edge, ScalarKeyedTable, scale_edge
 from .pauli import (
@@ -88,6 +90,9 @@ from .pauli import (
     zero,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _T_PHASE = cmath.exp(1j * math.pi / 4)
 
@@ -99,18 +104,19 @@ _PHASE_GATES = {
     "tdg": (_T_PHASE.conjugate(), "t"),
 }
 
-# the one table of 1-qubit gate matrices (gate diagrams and the dense oracle)
+# the one table of 1-qubit gate matrices (gate diagrams and the dense
+# oracle), rows of complex entries
 MAT_1Q = {
-    "i": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.diag([1.0, -1.0]).astype(complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT1_2,
-    **{name: np.diag([1.0, w]) for name, (w, _) in _PHASE_GATES.items()},
+    "i": ((1 + 0j, 0j), (0j, 1 + 0j)),
+    "x": ((0j, 1 + 0j), (1 + 0j, 0j)),
+    "y": ((0j, -1j), (1j, 0j)),
+    "z": ((1 + 0j, 0j), (0j, -1 + 0j)),
+    "h": ((complex(_SQRT1_2), complex(_SQRT1_2)), (complex(_SQRT1_2), complex(-_SQRT1_2))),
+    **{name: ((1 + 0j, 0j), (0j, complex(w))) for name, (w, _) in _PHASE_GATES.items()},
 }
 
 # projectors onto |0> and |1> (control blocks of gate diagrams)
-_PROJ = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+_PROJ = (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0)))
 
 # ``collect`` sweeps once the store holds this many times the nodes the last
 # sweep kept
@@ -403,9 +409,11 @@ class Engine:
         return self.store.make_edge(e0, e1)
 
     def apply_gate(self, u: Edge, e: Edge) -> Edge:
-        """Apply the matrix held by gate edge ``u`` (2k levels) to ``e``.  An
-        identity block (the canonical node of ``_identity``) returns ``e``
-        scaled by u's label, with no cache lookup and no descent."""
+        """Apply the gate held by gate edge ``u`` to ``e``.  ``u`` has 2k
+        levels, k at most e's level, and stands for the gate on qubits 1..k
+        and the identity on every qubit above.  An identity diagram (a
+        canonical node of ``_identity``, of any level) returns ``e`` scaled
+        by u's label, with no cache lookup and no descent."""
         return self._run(self._apply(u, e))
 
     def _apply(self, u: Edge, e: Edge):
@@ -413,12 +421,13 @@ class Engine:
         if is_zero(e.label):
             return e
         lvl = e.target.index
-        if u.target.index != 2 * lvl:
-            raise EngineError("gate edge level must be twice the state level")
+        span = u.target.index
+        if span > 2 * lvl or span % 2:
+            raise EngineError("gate edge needs an even level, at most twice the state's")
         if is_zero(u.label):
             return Edge(zero(lvl), e.target)
         ids = self._ids
-        if lvl < len(ids) and u.target is ids[lvl].target:
+        if span // 2 < len(ids) and u.target is ids[span // 2].target:
             return Edge(scale(u.label.scalar, e.label), e.target)
         disc = None
         if self.use_caches:
@@ -434,14 +443,20 @@ class Engine:
 
     def _apply_miss(self, u: Edge, e: Edge, disc):
         follow = self.store.follow
-        cols = [follow(e, c) for c in (0, 1)]
-        rows = []
-        for r in (0, 1):
-            ur = follow(u, r)
-            p0 = yield self._apply(follow(ur, 0), cols[0])
-            p1 = yield self._apply(follow(ur, 1), cols[1])
-            rows.append((yield self._add(p0, p1)))
-        res = self._node(rows[0], rows[1], e.target)
+        if u.target.index < 2 * e.target.index:
+            # the gate is the identity on e's top qubit
+            r0 = yield self._apply(u, follow(e, 0))
+            r1 = yield self._apply(u, follow(e, 1))
+        else:
+            cols = [follow(e, c) for c in (0, 1)]
+            rows = []
+            for r in (0, 1):
+                ur = follow(u, r)
+                p0 = yield self._apply(follow(ur, 0), cols[0])
+                p1 = yield self._apply(follow(ur, 1), cols[1])
+                rows.append((yield self._add(p0, p1)))
+            r0, r1 = rows
+        res = self._node(r0, r1, e.target)
         if disc is not None:
             self._apply_cache[disc] = scale_edge(
                 1.0 / (u.label.scalar * e.label.scalar), res
@@ -451,9 +466,10 @@ class Engine:
     # -- gate diagrams ------------------------------------------------------
 
     def gate_to_dd(self, name: str, qubits: Sequence[int]) -> Edge:
-        """2n-level diagram for a named gate on the given 1-based qubits;
-        qmdd mode only, since ``apply_gate`` keys its cache on scalar
-        labels."""
+        """Diagram of a named gate on the given 1-based qubits, local to
+        qubits 1..k, k the highest of them: 2k levels, which ``apply_gate``
+        applies to a state of any level >= k.  qmdd mode only, since
+        ``apply_gate`` keys its cache on scalar labels."""
         if self.store.group != "identity":
             raise EngineError("gate diagrams run only in qmdd mode")
         qubits = self._check_qubits(qubits)
@@ -469,21 +485,23 @@ class Engine:
             terms = ({c: _PROJ[0]}, {c: _PROJ[1], t: MAT_1Q[name[1]]})
         else:
             raise EngineError(f"unsupported gate {name!r} on {len(qubits)} qubits")
-        res = self._gate_diagram(terms)
+        res = self._gate_diagram(terms, max(qubits))
         self._gate_dd_cache[key] = res
         return res
 
     def _mcx_to_dd(self, controls: tuple, t: int) -> Edge:
-        """2n-level diagram of the multi-controlled X, I - P + X_t P with P
-        the tensor product of the control projectors (qmdd mode).
+        """Diagram of the multi-controlled X, I - P + X_t P with P the
+        tensor product of the control projectors (qmdd mode), local to
+        qubits 1..k, k the highest of the target and the controls.
         ``controls`` holds (qubit, wanted bit) pairs checked by ``run_mcx``."""
         key = ("mcx", controls, t)
         got = self._gate_dd_cache.get(key)
         if got is None:
+            k = max([t, *(q for q, _ in controls)])
             proj = {q: _PROJ[want] for q, want in controls}
-            p = self._gate_diagram((proj,))
-            xp = self._gate_diagram(({**proj, t: MAT_1Q["x"]},))
-            got = self.add(self.add(self._identity(self.n), scale_edge(-1.0, p)), xp)
+            p = self._gate_diagram((proj,), k)
+            xp = self._gate_diagram(({**proj, t: MAT_1Q["x"]},), k)
+            got = self.add(self.add(self._identity(k), scale_edge(-1.0, p)), xp)
             self._gate_dd_cache[key] = got
         return got
 
@@ -512,7 +530,7 @@ class Engine:
         disjoint."""
         cells = [[None, None], [None, None]]
         for m, e in parts:
-            for r, row in enumerate(m.tolist()):
+            for r, row in enumerate(m):
                 for c, s in enumerate(row):
                     if s:
                         cells[r][c] = scale_edge(s, e)
@@ -526,21 +544,21 @@ class Engine:
             ids.append(self._gate_node([(MAT_1Q["i"], ids[-1])]))
         return ids[m]
 
-    def _gate_diagram(self, terms: Sequence[dict]) -> Edge:
-        """Gate diagram of a sum of tensor products, built level by level
-        from the bottom; each term maps qubits to 2x2 blocks, the identity
-        elsewhere.  Where a term has only identity blocks from the bottom
-        up, its diagram is the canonical ``_identity``, which the terms
-        share.  On the highest qubit any term acts on, the terms' blocks
-        must have disjoint support: the sum is taken cell by cell there,
-        with no Add, and one diagram goes on above it."""
+    def _gate_diagram(self, terms: Sequence[dict], k: int) -> Edge:
+        """Gate diagram on qubits 1..k (2k levels) of a sum of tensor
+        products, built level by level from the bottom; each term maps
+        qubits to 2x2 blocks, the identity elsewhere.  Where a term has only
+        identity blocks from the bottom up, its diagram is the canonical
+        ``_identity``, which the terms share.  k must be the highest qubit
+        any term acts on when there are several terms: there the terms'
+        blocks must have disjoint support, and the sum is taken cell by
+        cell, with no Add."""
         eye = MAT_1Q["i"]
-        top = max((q for t in terms for q in t), default=0)
         es = [self._ids[0]] * len(terms)
-        for level in range(1, self.n + 1):
+        for level in range(1, k + 1):
             parts = [(t.get(level, eye), e) for t, e in zip(terms, es)]
-            if len(parts) > 1 and level >= top:
-                es, terms = [self._gate_node(parts)], ({},)
+            if len(parts) > 1 and level == k:
+                es = [self._gate_node(parts)]
             else:
                 below = self._ids[level - 1] if level <= len(self._ids) else None
                 es = [

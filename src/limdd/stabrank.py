@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .circuit import Circuit, dense_simulate
 from .diagram import lim_apply_dense
 from .pauli import PauliLim
 from .states import dicke_dense
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _RANK_TOL = 1e-10
 _FIDELITY_WIN = 1e-7
@@ -77,6 +78,8 @@ def random_stabilizer_state(n: int, rng) -> np.ndarray:
 
 def fidelity(vectors: np.ndarray, target: np.ndarray) -> float:
     """<D|Pi|D> for the projector Pi onto the span of the columns."""
+    import numpy as np
+
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
     basis = u[:, s > _RANK_TOL]
     return float(np.sum(np.abs(basis.conj().T @ target) ** 2))
@@ -85,6 +88,8 @@ def fidelity(vectors: np.ndarray, target: np.ndarray) -> float:
 def anneal_step(vectors: np.ndarray, target: np.ndarray, beta: float, rng,
                 current_f: Optional[float] = None):
     """One proposed replacement; returns (vectors, fidelity, accepted)."""
+    import numpy as np
+
     n = target.size.bit_length() - 1
     chi = vectors.shape[1]
     if current_f is None:
@@ -109,12 +114,16 @@ def anneal_step(vectors: np.ndarray, target: np.ndarray, beta: float, rng,
 
 def certify(vectors: np.ndarray, target: np.ndarray):
     """Least-squares reconstruction; the independent success check."""
+    import numpy as np
+
     coeffs, *_ = np.linalg.lstsq(vectors, target, rcond=None)
     residual = float(np.linalg.norm(vectors @ coeffs - target))
     return coeffs, residual
 
 
 def search_rank(cfg: AnnealConfig) -> SearchResult:
+    import numpy as np
+
     rng = np.random.default_rng(cfg.seed)
     target = dicke_dense(cfg.n, cfg.w)
     vectors = np.column_stack(

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .diagram import Edge, scale_edge
 from .engine import Engine
 from .pauli import PauliLim, gf2_eliminate, identity, mul, scale, zero
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class StateError(Exception):
@@ -169,6 +171,8 @@ def dicke_dense(n: int, w: int) -> np.ndarray:
         raise StateError("dense Dicke vectors limited to 1..14 qubits")
     if not 0 <= w <= n:
         raise StateError(f"weight {w} out of range 0..{n}")
+    import numpy as np
+
     vec = np.zeros(1 << n, dtype=complex)
     amp = 1.0 / math.sqrt(math.comb(n, w))
     for idx in range(1 << n):

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,3 +417,30 @@ def test_cli_stabrank_json():
     assert report["success"] is True
     assert report["residual"] < 1e-6
     assert set(report) == {"n", "w", "chi", "success", "residual", "steps_used"}
+
+
+_NO_NUMPY = """
+import random, sys
+sys.modules["numpy"] = None   # any numpy import now raises ImportError
+import limdd
+from limdd.circuit import build_engine, parse_circuit
+c = parse_circuit("qubits 3\\nh 0\\ncx 0 1\\ncx 1 2\\nt 2\\nh 1\\n")
+for mode in ("limdd", "qmdd"):
+    eng = build_engine(c, mode)
+    rng = random.Random(7)
+    seen = {eng.sample(rng) for _ in range(64)}
+    assert seen == {"000", "010", "101", "111"}, (mode, seen)
+"""
+
+
+def test_package_runs_without_numpy():
+    # the diagram modes never load numpy, so import and start-up skip it
+    src = str(Path(circuit_mod.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -720,6 +720,42 @@ def test_trivial_group_lane_identity_store():
             store.make_edge(Edge(x, nodes[0]), Edge(pl.identity(n), nodes[1]))
 
 
+def _pick_scalar_by_scalar_cmp(lam, ms, same):
+    """Reference: the scalar_cmp-least of the candidates in order, ties
+    keeping the earlier."""
+    best = choice = None
+    for x, s in ((0, 0), (0, 1), (1, 0), (1, 1)) if same else ((0, 0), (0, 1)):
+        lam_x = lam if x == 0 else 1.0 / lam
+        cand = (-lam_x if s else lam_x) * ms
+        if best is None or pl.scalar_cmp(cand, best) < 0:
+            best, choice = cand, (x, s)
+    return (best,) + choice
+
+
+def test_pick_scalar_matches_scalar_cmp_on_adversarial_scalars():
+    import limdd.diagram as diagram_mod
+
+    eps = pl.EPS_ORD
+    offsets = [0.0, 1e-16, 1e-13, 1e-12, 3e-12, 1e-11, 5e-10, eps, 1.5e-9, 2e-9,
+               1e-8, 1e-7, 1e-6, 1.01e-6, 1e-5, 0.3]
+    angles = [a + sign * d for a in (0.0, math.pi / 4, math.pi / 2, math.pi, 2 * math.pi)
+              for d in offsets for sign in (1, -1)]
+    mags = [1.0, 1 + eps / 2, 1 - eps / 2, 1 + eps, 1 - eps, 1 + 2 * eps, 1 - 2 * eps,
+            1 + 1e-6, 0.5, 2.0, 1e-3]
+    lams = [r * complex(math.cos(a), math.sin(a)) for r in mags for a in angles]
+    lams += [1.0, -1.0, 1j, -1j, complex(1.0, -0.0), complex(-1.0, -0.0), complex(-0.0, 1.0)]
+    rng = np.random.default_rng(107)
+    mss = [1.0, -1.0, 1j, complex(math.cos(1e-10), -math.sin(1e-10))]
+    mss += [complex(*rng.normal(size=2)) for _ in range(3)]
+    for lam in lams:
+        for ms in mss:
+            for same in (False, True):
+                got = diagram_mod._pick_scalar(lam, ms, same)
+                want = _pick_scalar_by_scalar_cmp(lam, ms, same)
+                assert got[1:] == want[1:], (lam, ms, same)
+                assert got[0] == want[0], (lam, ms, same)
+
+
 def test_trivial_group_lane_falls_back_for_a_child_missing_from_stab():
     # a child without a ``_stab`` entry takes the general path, which
     # rebuilds the entry and gives the same edge

@@ -624,23 +624,83 @@ def test_gate_to_dd_cnot_both_orientations():
         assert np.allclose(gate_matrix(eng, u, 2), cx_matrix(2, c, t), atol=1e-12)
 
 
+def assert_embeds(eng, u, want, rng):
+    """Applying gate edge u to random states of eng's width gives the dense
+    gate ``want`` on them."""
+    dim = 1 << eng.n
+    for _ in range(4):
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        got = eng.store.to_dense(eng.apply_gate(u, edge_from_dense(eng.store, vec)))
+        assert np.allclose(got, want @ vec, atol=1e-10)
+
+
 def test_gate_to_dd_embeds_in_wider_registers():
+    # the diagram is local to qubits 1..3; on a 4-qubit state it is CZ(3, 1)
     eng = Engine(4, mode="qmdd")
     u = eng.gate_to_dd("cz", (3, 1))
-    assert np.allclose(gate_matrix(eng, u, 4), cz_matrix(4, 3, 1), atol=1e-12)
+    assert u.target.index == 6
+    assert np.allclose(gate_matrix(eng, u, 3), cz_matrix(3, 3, 1), atol=1e-12)
+    assert_embeds(eng, u, cz_matrix(4, 3, 1), np.random.default_rng(27))
+
+
+def mcx_matrix(n, controls, t):
+    want = np.zeros((1 << n, 1 << n))
+    for i in range(1 << n):
+        hit = all(((i >> (q - 1)) & 1) == b for q, b in controls)
+        want[i ^ (1 << (t - 1)) if hit else i, i] = 1.0
+    return want
 
 
 def test_qmdd_mcx_diagram_matches_dense():
-    n = 3
+    # each diagram is local to qubits 1..k, k its highest qubit; on a
+    # 4-qubit state it is the 4-qubit gate
+    n = 4
     eng = Engine(n, mode="qmdd")
+    rng = np.random.default_rng(28)
     for controls, t in (((), 2), (((3, 1),), 1), (((1, 0), (3, 1)), 2), (((2, 0),), 3)):
-        want = np.zeros((1 << n, 1 << n))
-        for i in range(1 << n):
-            hit = all(((i >> (q - 1)) & 1) == b for q, b in controls)
-            want[i ^ (1 << (t - 1)) if hit else i, i] = 1.0
+        k = max([t, *(q for q, _ in controls)])
         u = eng._mcx_to_dd(controls, t)
         assert eng._mcx_to_dd(controls, t) is u
-        assert np.allclose(gate_matrix(eng, u, n), want, atol=1e-12)
+        assert u.target.index == 2 * k
+        assert np.allclose(gate_matrix(eng, u, k), mcx_matrix(k, controls, t), atol=1e-12)
+        assert_embeds(eng, u, mcx_matrix(n, controls, t), rng)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_qmdd_local_gate_diagrams_on_every_qubit(n):
+    # every gate of the grammar and several mcx control patterns, on every
+    # qubit, against the dense oracle (user qubit n - q is engine qubit q)
+    rng = np.random.default_rng(40 + n)
+    prep = []
+    for q in range(n):
+        prep += [("h", (q,)), ("t", (q,))]
+    prep += [("cx", (q, q + 1)) for q in range(n - 1)]
+    ops = []
+    for name, arity in GATE_ARITY.items():
+        for qs in itertools.permutations(range(n), arity):
+            ops.append((name, qs))
+    for t in range(n):
+        others = [q for q in range(n) if q != t]
+        for size in range(min(3, n)):
+            ctrl = rng.permutation(others)[:size]
+            ops.append(("mcx", (t, *((int(q), int(rng.integers(0, 2))) for q in ctrl))))
+    for op in ops:
+        c = Circuit(n, tuple(prep) + (op,))
+        got = build_engine(c, "qmdd").to_dense()
+        assert np.max(np.abs(got - dense_simulate(c))) < 1e-10, op
+
+
+@pytest.mark.parametrize(
+    "name, qs", [("h", (3,)), ("t", (1,)), ("cx", (2, 5)), ("cx", (5, 2)), ("cz", (4, 1))]
+)
+def test_qmdd_gate_diagram_size_does_not_depend_on_n(name, qs):
+    sizes = []
+    for n in (8, 64):
+        eng = Engine(n, mode="qmdd")
+        u = eng.gate_to_dd(name, qs)
+        assert u.target.index == 2 * max(qs)
+        sizes.append(eng.store.reachable_count(u))
+    assert sizes[0] == sizes[1]
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
