@@ -28,25 +28,7 @@ from .circuit import (
     run,
 )
 from .stabrank import AnnealConfig, SearchResult, StabRankError, search_rank, search_with_restarts
-from .pauli import (
-    EPS_EQ,
-    EPS_ORD,
-    GeneratorSet,
-    NotAStabilizerGroupError,
-    PauliError,
-    PauliLim,
-    ZeroLim,
-    conjugate,
-    find_opposite,
-    format_lim,
-    from_text,
-    identity,
-    inverse,
-    lex_cmp,
-    mul,
-    rref,
-    string_kernel,
-)
+from .pauli import NotAStabilizerGroupError, PauliError
 
 __all__ = [
     "AnnealConfig",
@@ -78,21 +60,6 @@ __all__ = [
     "search_rank",
     "search_with_restarts",
     "stabilizer_state",
-    "EPS_EQ",
-    "EPS_ORD",
-    "GeneratorSet",
     "NotAStabilizerGroupError",
     "PauliError",
-    "PauliLim",
-    "ZeroLim",
-    "conjugate",
-    "find_opposite",
-    "format_lim",
-    "from_text",
-    "identity",
-    "inverse",
-    "lex_cmp",
-    "mul",
-    "rref",
-    "string_kernel",
 ]

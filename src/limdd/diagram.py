@@ -59,19 +59,36 @@ if TYPE_CHECKING:
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
+# the accepted forms of a basis bit (``amplitude``)
+_BITS = {"0": 0, "1": 1, 0: 0, 1: 1}
+
 
 class DiagramError(Exception):
     pass
 
 
 class Node:
-    __slots__ = ("index", "low", "high", "nid")
+    """A node and the facts that depend on it alone: ``stab``, the reduced
+    generators of its Pauli stabilizer group, set when the store creates
+    it; and ``weight``, (ln of its squared norm, probability that its top
+    qubit reads 1), None until ``Engine._weights`` fills it."""
 
-    def __init__(self, index: int, low: Optional["Edge"], high: Optional["Edge"], nid: int):
+    __slots__ = ("index", "low", "high", "nid", "stab", "weight")
+
+    def __init__(
+        self,
+        index: int,
+        low: Optional["Edge"],
+        high: Optional["Edge"],
+        nid: int,
+        stab: GeneratorSet,
+    ):
         self.index = index
         self.low = low
         self.high = high
         self.nid = nid
+        self.stab = stab
+        self.weight: Optional[tuple[float, float]] = None
 
     def __repr__(self) -> str:
         return f"Node(level={self.index}, id={self.nid})"
@@ -162,50 +179,50 @@ class DiagramStore:
 
     ``sweep(roots)`` drops every node that no root edge reaches and rebuilds
     the unique tables from the survivors.  Survivors keep their ids, so low
-    precedence and every id-keyed entry of a survivor stay valid without
-    renumbering.  An edge held across a sweep still denotes its state, since
-    nodes are immutable and ids are never reused; but the store no longer
-    knows a dropped node, so building the same state again makes a new node.
+    precedence stays valid without renumbering, and a node's group and
+    weights are fields of the node, so they go where it goes.  An edge held
+    across a sweep still denotes its state, since a node's edges never
+    change and ids are never reused; but the store no longer knows a
+    dropped node, so building the same state again makes a new node.
     Canonicity (one node per state) therefore holds among the nodes the
     store keeps, and an edge to a dropped node must not be handed back to
     ``make_edge``.
 
-    Two memos serve the stabilizer machinery: ``_stab`` holds each node's
-    reduced stabilizer generators by node id (a "pauli" store only; an
-    identity-group store keeps just the leaf's), and ``_pair_memo`` holds the
-    pair record of ``_pair`` (reduced union rows, an opposite element and
-    the intersection) by the content of the two groups.  Only pairs whose
-    strings differ, both sides nonempty, enter it: a pair with the same
-    strings or an empty side has its record read off the groups' rows.
+    Each node's reduced stabilizer generators are its ``stab`` field, set
+    once by ``_new_node`` from the children's groups (``_node_group``); in
+    an identity-group store every group is empty.  The one memo of the
+    stabilizer machinery is ``_pair_memo``: the pair record of ``_pair``
+    (reduced union rows, an opposite element and the intersection) by the
+    content of the two groups.  Only pairs whose strings differ, both sides
+    nonempty, enter it: a pair with the same strings or an empty side has
+    its record read off the groups' rows.
 
     Trivial-group lane: most nodes of a non-stabilizer state, and every
     node of an identity-group store, have the stabilizer group {I}.  There
     the double-coset minimum of a label is the label itself.  ``make_edge``
-    takes the lane when both children's ``_stab`` entries have no rows, or
-    the store is identity-group: ``_trivial_choice`` picks the high scalar,
-    ``_trivial_root`` builds the root label, and a new node's group comes
-    from ``_trivial_stab`` (at most one swap row, ``_swap_rows``), with no
-    call to ``get_labels``, ``get_stabilizer_gen_set`` or the coset
-    machinery.  A child missing from ``_stab`` (a node a sweep dropped)
-    takes the general path, which rebuilds its group.  ``get_labels`` and
-    ``_stab_recursive`` answer trivial groups with the same helpers, and
-    ``arg_lex_min`` and ``root_label`` return the label itself, so every
-    route computes the same result without an elimination.  ``follow``
-    computes a branch label in one product, and skips the Pauli algebra
-    for a label whose string is the identity."""
+    takes the lane when both children's groups have no rows:
+    ``_trivial_choice`` picks the high scalar, ``_trivial_root`` builds the
+    root label, and ``_node_group`` gives a new node at most one swap row
+    (``_swap_rows``), with no call to ``get_labels``,
+    ``get_stabilizer_gen_set`` or the coset machinery.  ``get_labels``
+    answers trivial groups with the same helpers, and ``arg_lex_min`` and
+    ``root_label`` return the label itself, so every route computes the
+    same result without an elimination.  ``follow`` computes a branch label
+    in one product, and skips the Pauli algebra for a label whose string is
+    the identity."""
 
     def __init__(self, group: str = "pauli"):
         if group not in ("pauli", "identity"):
             raise ValueError(f"unknown label group {group!r}")
         self.group = group
-        self.leaf = Node(0, None, None, 0)
+        self.leaf = Node(0, None, None, 0, GeneratorSet(0, []))
+        self.leaf.weight = (0.0, 0.0)             # the scalar 1: norm 1, no top qubit
         self.nodes: list[Node] = [self.leaf]      # creation (= id) order
         self._next_id = 1
         self._table = ScalarKeyedTable()          # (v0, v1, x, z) + scalar -> Node
         self._zero_high: dict[int, Node] = {}     # v0 nid -> Node
         self._zero_low: dict[int, Node] = {}      # v1 nid -> Node (identity mode)
-        self._stab: dict[int, GeneratorSet] = {0: GeneratorSet(0, [])}
-        self._empty: dict[int, GeneratorSet] = {0: self._stab[0]}
+        self._empty: dict[int, GeneratorSet] = {0: self.leaf.stab}
         self._pair_memo: dict = {}                # content keys -> pair record
 
     # -- bookkeeping --------------------------------------------------------
@@ -245,7 +262,8 @@ class DiagramStore:
         return g
 
     def _new_node(self, index: int, low: Edge, high: Edge) -> Node:
-        v = Node(index, low, high, self._next_id)
+        g = self._node_group(index, low.target, high.label, high.target)
+        v = Node(index, low, high, self._next_id, g)
         self._next_id += 1
         self.nodes.append(v)
         return v
@@ -256,8 +274,9 @@ class DiagramStore:
 
         Marks from the roots on an explicit stack, keeps ``nodes`` in
         creation order, rebuilds the unique table, ``_zero_high`` and
-        ``_zero_low`` from the survivors under ``make_edge``'s keys, keeps
-        the survivors' ``_stab`` entries and empties ``_pair_memo``."""
+        ``_zero_low`` from the survivors under ``make_edge``'s keys and
+        empties ``_pair_memo``, the one memo.  A survivor's group and
+        weights are fields of the node, so nothing else is filtered."""
         marked = self._reach(roots)
         self.nodes = [v for v in self.nodes if v.nid in marked]
         table = self._table = ScalarKeyedTable()
@@ -272,7 +291,6 @@ class DiagramStore:
             else:
                 disc = (low.target.nid, high.target.nid) + _lim_disc(high.label)
                 table.put(disc, high.label.scalar, v)
-        self._stab = {k: g for k, g in self._stab.items() if k in marked}
         self._pair_memo = {}
         return len(self.nodes) - 1
 
@@ -314,13 +332,14 @@ class DiagramStore:
 
     def amplitude(self, e: Edge, bits) -> complex:
         """Amplitude of the basis state given as bits with bits[0] the top qubit."""
-        seq = [int(b) for b in bits]
+        try:
+            seq = [_BITS[b] for b in bits]
+        except (KeyError, TypeError):
+            raise DiagramError(f"bits must be 0 or 1, got {bits!r}") from None
         if len(seq) != e.target.index:
             raise DiagramError(
                 f"expected {e.target.index} bits, got {len(seq)}"
             )
-        if any(b not in (0, 1) for b in seq):
-            raise DiagramError("bits must be 0 or 1")
         for b in seq:
             e = self.follow(e, b)
         if is_zero(e.label):
@@ -467,32 +486,27 @@ class DiagramStore:
         return self._pair(g0, g1)[3]
 
     def get_stabilizer_gen_set(self, v: Node) -> GeneratorSet:
-        """Generators of the Pauli stabilizer subgroup of |v>, cached per
-        node.  In an identity-group store every group is {I}, returned
-        without a cache entry."""
-        if self.group == "identity":
-            return self.empty_set(v.index)
-        got = self._stab.get(v.nid)
-        if got is not None:
-            return got
-        res = self._stab_recursive(v)
-        self._stab[v.nid] = res
-        return res
+        """Generators of the Pauli stabilizer subgroup of |v>: the node's
+        ``stab`` field.  In an identity-group store every group is {I}."""
+        return v.stab
 
-    def _stab_recursive(self, v: Node) -> GeneratorSet:
+    def _node_group(self, m: int, v0: Node, a1: Lim, v1: Node) -> GeneratorSet:
+        """The reduced group of the level-m node (I v0, a1 v1), from its
+        children's groups; empty in an identity-group store."""
+        if self.group == "identity":
+            return self.empty_set(m)
         # I (x) a reduced basis is the same rows and still reduced, so the
         # node's basis is the children's common part plus at most three
         # inserted rows
-        m = v.index
-        v0 = v.low.target
-        g0 = self.get_stabilizer_gen_set(v0)
-        if is_zero(v.high.label):
+        g0 = v0.stab
+        if is_zero(a1):
             return rref_insert(GeneratorSet.packed(m, g0.rows, g0.signs), [single(m, m, "Z")])
-        a1 = v.high.label
-        v1 = v.high.target
-        g1 = g0 if v1 is v0 else self.get_stabilizer_gen_set(v1)
+        g1 = v1.stab
         if not (g0.rows or g1.rows):
-            return self._trivial_stab(m, a1, v0 is v1)
+            # no meet and no opposite element: at most one swap row, and
+            # only when the children are one node
+            rows = _swap_rows(a1, None) if v0 is v1 else []
+            return GeneratorSet(m, rows) if rows else self.empty_set(m)
         _, _, opp, meet = self._pair(g0, conjugate_group(a1, g1))
         # diagonal stabilizers: I (x) (G0 meet G1) and Z (x) h, h in G0, -h in G1
         new = []
@@ -505,13 +519,6 @@ class DiagramStore:
         if v0 is v1:
             new += _swap_rows(a1, opp)
         return rref_insert(GeneratorSet.packed(m, meet.rows, meet.signs), new)
-
-    def _trivial_stab(self, m: int, a1: PauliLim, same: bool) -> GeneratorSet:
-        """The group of the level-m node (I v0, a1 v1) whose children both
-        have the group {I}: no meet and no opposite element, so at most one
-        swap row, and only when the children are one node (``same``)."""
-        rows = _swap_rows(a1, None) if same else []
-        return GeneratorSet(m, rows) if rows else self.empty_set(m)
 
     # -- canonicalizing constructor -----------------------------------------
 
@@ -584,16 +591,10 @@ class DiagramStore:
                     m + 1, Edge(identity(m), v0), Edge(zero(m), v0)
                 )
                 self._zero_high[v0.nid] = node
-                self.get_stabilizer_gen_set(node)
             return Edge(tensor_top("I", a), node)
         a_hat = mul(inverse(a), b)
-        g0 = self._stab.get(v0.nid)
-        g1 = self._stab.get(v1.nid)
-        if self.group == "identity" or (
-            g0 is not None and g1 is not None and not (g0.rows or g1.rows)
-        ):
-            # trivial-group lane (a child missing from ``_stab`` was dropped
-            # by a sweep and takes the general path, which rebuilds its group)
+        if not (v0.stab.rows or v1.stab.rows):
+            # trivial-group lane (every pair of an identity-group store)
             best, x, s = self._trivial_choice(a_hat, v0 is v1)
             disc = (v0.nid, v1.nid, a_hat.x, a_hat.z)
             node = self._table.get(disc, best)
@@ -601,8 +602,6 @@ class DiagramStore:
                 b_high = PauliLim(m, a_hat.x, a_hat.z, best)
                 node = self._new_node(m + 1, Edge(identity(m), v0), Edge(b_high, v1))
                 self._table.put(disc, best, node)
-                if self.group == "pauli":
-                    self._stab[node.nid] = self._trivial_stab(m + 1, b_high, v0 is v1)
             return Edge(_trivial_root(a, a_hat, x, s), node)
         b_high, b_root = self.get_labels(a_hat, v0, v1)
         disc = (v0.nid, v1.nid) + _lim_disc(b_high)
@@ -610,18 +609,21 @@ class DiagramStore:
         if node is None:
             node = self._new_node(m + 1, Edge(identity(m), v0), Edge(b_high, v1))
             self._table.put(disc, b_high.scalar, node)
-            self.get_stabilizer_gen_set(node)
         return Edge(mul(tensor_top("I", a), b_root), node)
 
     # -- diagnostics ---------------------------------------------------------
 
     def audit(self) -> None:
-        """Re-walk the store checking every reduction invariant; raises on
-        violation.  Meant for debug runs and tests."""
+        """Re-walk the store checking every reduction invariant and every
+        node's group, re-derived from its children's; raises on violation.
+        Meant for debug runs and tests."""
         for v in self.nodes[1:]:
             low, high = v.low, v.high
             if low.target.index != v.index - 1 or high.target.index != v.index - 1:
                 raise DiagramError(f"{v!r}: child level mismatch")
+            g = self._node_group(v.index, low.target, high.label, high.target)
+            if g.content_key() != v.stab.content_key():
+                raise DiagramError(f"{v!r}: stored group is not the one its children give")
             if is_zero(low.label):
                 if self.group != "identity":
                     raise DiagramError(f"{v!r}: zero low label")

@@ -43,9 +43,10 @@ explicit stack (``_run``), so a gate reaches any level.  Each takes its fast
 exits (a zero operand, the leaf, a cache hit, a qmdd identity block) as a
 plain call; only a miss returns a generator, which yields its children.
 
-Measurement reads one per-node table, ``_weights``: the log of the node's
-squared norm and the probability that its top qubit reads 1, filled from an
-explicit stack.  Log norms do not overflow where absolute norms reach 2^n.
+Measurement reads each node's ``weight`` field: the log of the node's
+squared norm and the probability that its top qubit reads 1, filled by
+``_weights`` from an explicit stack.  Log norms do not overflow where
+absolute norms reach 2^n.
 ``sample`` draws a full basis string by walking one path down from the
 root, one branch probability per level; ``measurement_probability`` walks
 down level by level, carrying the probability of each (node, X parity on
@@ -57,14 +58,15 @@ and the cached gate diagrams, each as tall as its gate's highest qubit.  It
 sweeps only once the store holds ``_SWEEP_RATIO`` times the nodes the last
 sweep kept, so the store stays within a constant factor of the live diagram
 and a sweep, linear in the store, costs O(1) amortized per node created.
-A sweep empties the compute tables (Add, unary, reach and apply caches) and
-keeps the weights of the nodes it keeps.  ``circuit.build_engine`` calls it
-after every op; ``run_gate`` and ``set_root`` never sweep, so a caller that
-holds an earlier root across gates keeps canonicity (the same state comes
-back as the same node) until it calls ``collect``.  Node ids are never reused, so a
-held edge still denotes its state after a sweep; but a dropped node that is
-built again is a new node, and a held edge to a dropped node must not be
-used as an operand.
+A sweep empties the compute tables (Add, unary, reach and apply caches); a
+kept node keeps its weights, which are a field of the node.
+``circuit.build_engine`` calls it after every op; ``run_gate`` and
+``set_root`` never sweep, so a caller that holds an earlier root across
+gates keeps canonicity (the same state comes back as the same node) until
+it calls ``collect``.  Node ids are never reused, so a held edge still
+denotes its state after a sweep; but a dropped node that is built again is
+a new node, and a held edge to a dropped node must not be used as an
+operand.
 """
 
 from __future__ import annotations
@@ -223,7 +225,6 @@ class Engine:
         self._apply_cache: dict = {}
         self._add_cache = ScalarKeyedTable()
         self._unary_cache: dict = {}
-        self._weight_table: dict[int, tuple[float, float]] = {0: (0.0, 0.0)}
         self._reach_cache: dict = {}
         self._gate_dd_cache: dict = {}
         self._ids = [Edge(identity(0), self.store.leaf)]   # see _identity
@@ -712,18 +713,17 @@ class Engine:
 
     def _weights(self, v) -> tuple[float, float]:
         """(ln of the squared norm of |v>, probability that v's top qubit
-        reads 1), cached per node.  Log norms do not overflow at any depth,
-        and a zero branch weighs -inf, so p1 is exactly 0 or 1 when a branch
-        is empty.  Children are done first from an explicit stack, so depth
-        is not bounded by recursion."""
-        table = self._weight_table
+        reads 1), kept in the node's ``weight`` field.  Log norms do not
+        overflow at any depth, and a zero branch weighs -inf, so p1 is
+        exactly 0 or 1 when a branch is empty.  Children are done first from
+        an explicit stack, so depth is not bounded by recursion."""
         stack = [v]
         while stack:
             u = stack[-1]
-            if u.nid in table:
+            if u.weight is not None:
                 stack.pop()
                 continue
-            todo = [c.target for c in (u.low, u.high) if c.target.nid not in table]
+            todo = [c.target for c in (u.low, u.high) if c.target.weight is None]
             if todo:
                 stack.extend(todo)
                 continue
@@ -731,13 +731,13 @@ class Engine:
             w0, w1 = (
                 -math.inf
                 if is_zero(c.label)
-                else 2.0 * math.log(abs(c.label.scalar)) + table[c.target.nid][0]
+                else 2.0 * math.log(abs(c.label.scalar)) + c.target.weight[0]
                 for c in (u.low, u.high)
             )
             top = max(w0, w1)
             ln = top + math.log(math.exp(w0 - top) + math.exp(w1 - top))
-            table[u.nid] = (ln, math.exp(w1 - ln))
-        return table[v.nid]
+            u.weight = (ln, math.exp(w1 - ln))
+        return v.weight
 
     def measurement_probability(self, e: Edge, k: int, y: int) -> float:
         """Probability that qubit k of |e> reads y.
@@ -754,12 +754,11 @@ class Engine:
         if is_zero(e.label):
             raise EngineError("zero state has no measurement probabilities")
         self._weights(e.target)
-        table = self._weight_table
         mass = {(e.target, (e.label.x >> (k - 1)) & 1): 1.0}
         for _ in range(e.target.index - k):
             below: dict = {}
             for (v, par), m in mass.items():
-                p1 = table[v.nid][1]
+                p1 = v.weight[1]
                 for c, p in ((v.low, 1.0 - p1), (v.high, p1)):
                     if p:
                         key = (c.target, par ^ ((c.label.x >> (k - 1)) & 1))
@@ -767,7 +766,7 @@ class Engine:
             mass = below
         p = 0.0
         for (v, par), m in mass.items():
-            p1 = table[v.nid][1]
+            p1 = v.weight[1]
             p += m * (p1 if par ^ y else 1.0 - p1)
         return min(max(p, 0.0), 1.0)
 
@@ -778,16 +777,16 @@ class Engine:
         Walks down one path from the root, taking branch 0 with its
         probability from the node's weights (p1 swapped to 1 - p1 when the
         label has an X or Y on that qubit), drawn with one ``rng.random()``.
-        Only node weights are computed (and cached); no node is created."""
+        Only node weights are computed (and kept on the nodes); no node is
+        created."""
         cur = self.root if e is None else e
         if is_zero(cur.label):
             raise EngineError("zero state has no measurement probabilities")
         self._weights(cur.target)
-        table = self._weight_table
         bits = []
         while cur.target.index:
             v = cur.target
-            p1 = table[v.nid][1]
+            p1 = v.weight[1]
             p0 = p1 if (cur.label.x >> (v.index - 1)) & 1 else 1.0 - p1
             b = 0 if rng.random() < p0 else 1
             bits.append("01"[b])
@@ -859,8 +858,8 @@ class Engine:
         """Sweep the store down to what the roots reach (the root, ``_ids``
         and the cached gate diagrams) when it holds at least
         ``_SWEEP_RATIO`` times the nodes the last sweep kept; the first call
-        always sweeps.  A sweep empties the compute tables and keeps the
-        weights of the nodes kept."""
+        always sweeps.  A sweep empties the compute tables; a kept node
+        keeps its weights, which live on the node."""
         store = self.store
         if store.node_count() < _SWEEP_RATIO * self._kept:
             return
@@ -870,8 +869,6 @@ class Engine:
         self._unary_cache = {}
         self._reach_cache = {}
         self._apply_cache = {}
-        kept = {v.nid for v in store.nodes}
-        self._weight_table = {k: w for k, w in self._weight_table.items() if k in kept}
         if self.debug:
             store.audit()
 

@@ -180,25 +180,12 @@ def tensor_top(letter: str, a: Lim, extra_scalar: complex = 1.0) -> Lim:
 # ordering and text form
 
 
-def lex_cmp(a: PauliLim, b: PauliLim) -> int:
-    """Total order: X block, then Z block (qubit n most significant), then
-    scalar magnitude, then phase in [0, 2*pi); float ties within EPS_ORD are
-    equal.  Returns -1, 0, or 1."""
-    if a.n != b.n:
-        raise PauliError("cannot order operators on different qubit counts")
-    if a.x != b.x:
-        return -1 if a.x < b.x else 1
-    if a.z != b.z:
-        return -1 if a.z < b.z else 1
-    return scalar_cmp(a.scalar, b.scalar)
-
-
 def scalar_cmp(a: complex, b: complex) -> int:
-    """The scalar part of ``lex_cmp``: magnitude, then phase in [0, 2*pi);
-    float ties within EPS_ORD are equal, and ties wrap around at phase 0:
-    a phase within EPS_ORD below 2*pi counts as 0, so a real scalar with a
-    -1e-16 imaginary part ranks with its exactly real twin, not last.
-    Returns -1, 0, or 1."""
+    """Order on scalars: magnitude, then phase in [0, 2*pi); float ties
+    within EPS_ORD are equal, and ties wrap around at phase 0: a phase
+    within EPS_ORD below 2*pi counts as 0, so a real scalar with a -1e-16
+    imaginary part ranks with its exactly real twin, not last.  Returns -1,
+    0, or 1."""
     ra, rb = abs(a), abs(b)
     if abs(ra - rb) > EPS_ORD:
         return -1 if ra < rb else 1
@@ -244,40 +231,6 @@ def format_lim(a: Lim) -> str:
     if c == -1j:
         return "-i*" + letters
     return _scalar_str(c) + "*" + letters
-
-
-def from_text(text: str, n: Optional[int] = None) -> PauliLim:
-    """Parse the debug form; letters are qubit n down to qubit 1."""
-    text = text.strip()
-    scalar: complex = 1.0
-    if "*" in text:
-        head, text = text.split("*", 1)
-        head = head.strip()
-        if head == "-":
-            scalar = -1.0
-        elif head == "i":
-            scalar = 1j
-        elif head == "-i":
-            scalar = -1j
-        else:
-            scalar = complex(head.replace("i", "j"))
-    elif text.startswith("-i"):
-        scalar, text = -1j, text[2:]
-    elif text.startswith("i"):
-        scalar, text = 1j, text[1:]
-    elif text.startswith("-"):
-        scalar, text = -1.0, text[1:]
-    letters = text.strip().upper()
-    if n is not None and len(letters) != n:
-        raise PauliError(f"expected {n} letters, got {len(letters)}")
-    x = z = 0
-    for ch in letters:
-        if ch not in _LETTER_BITS:
-            raise PauliError(f"bad Pauli letter {ch!r}")
-        xb, zb = _LETTER_BITS[ch]
-        x = (x << 1) | xb
-        z = (z << 1) | zb
-    return PauliLim(len(letters), x, z, scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from limdd.pauli import GeneratorSet, PauliLim, ZeroLim, mul
+from limdd.pauli import GeneratorSet, PauliError, PauliLim, ZeroLim, mul, scalar_cmp
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -92,6 +92,59 @@ def clifford_circuit_matrix(n: int, circuit) -> np.ndarray:
             raise ValueError(f"unknown gate {gate!r}")
         u = g @ u
     return u
+
+
+# ---------------------------------------------------------------------------
+# text form and order
+
+_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+def from_text(text: str, n: int | None = None) -> PauliLim:
+    """Parse the debug form of ``format_lim``, e.g. ``-i*XZY`` or
+    ``0.5*XX``; letters are qubit n down to qubit 1."""
+    text = text.strip()
+    scalar: complex = 1.0
+    if "*" in text:
+        head, text = text.split("*", 1)
+        head = head.strip()
+        if head == "-":
+            scalar = -1.0
+        elif head == "i":
+            scalar = 1j
+        elif head == "-i":
+            scalar = -1j
+        else:
+            scalar = complex(head.replace("i", "j"))
+    elif text.startswith("-i"):
+        scalar, text = -1j, text[2:]
+    elif text.startswith("i"):
+        scalar, text = 1j, text[1:]
+    elif text.startswith("-"):
+        scalar, text = -1.0, text[1:]
+    letters = text.strip().upper()
+    if n is not None and len(letters) != n:
+        raise PauliError(f"expected {n} letters, got {len(letters)}")
+    x = z = 0
+    for ch in letters:
+        if ch not in _LETTER_BITS:
+            raise PauliError(f"bad Pauli letter {ch!r}")
+        xb, zb = _LETTER_BITS[ch]
+        x = (x << 1) | xb
+        z = (z << 1) | zb
+    return PauliLim(len(letters), x, z, scalar)
+
+
+def lex_cmp(a: PauliLim, b: PauliLim) -> int:
+    """Total order: X block, then Z block (qubit n most significant), then
+    the scalar by ``scalar_cmp``.  Returns -1, 0, or 1."""
+    if a.n != b.n:
+        raise PauliError("cannot order operators on different qubit counts")
+    if a.x != b.x:
+        return -1 if a.x < b.x else 1
+    if a.z != b.z:
+        return -1 if a.z < b.z else 1
+    return scalar_cmp(a.scalar, b.scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from oracles import (
     clifford_circuit_matrix,
     edge_from_dense,
     enumerate_group,
+    from_text,
     group_keys,
+    lex_cmp,
     pauli_duplicate_nodes,
     random_clifford_circuit,
     random_stabilizer_genset,
@@ -53,7 +55,7 @@ def random_pauli(rng, n, scalar_pool=(1.0, -1.0, 1j, -1j)):
 
 
 def lex_smallest(cands):
-    return functools.reduce(lambda a, b: b if pl.lex_cmp(b, a) < 0 else a, cands)
+    return functools.reduce(lambda a, b: b if lex_cmp(b, a) < 0 else a, cands)
 
 
 def assert_lim_close(a, b, tol=1e-9):
@@ -232,6 +234,12 @@ def test_amplitude_length_mismatch():
     e = edge_from_dense(store, np.array([1.0, 2.0]))
     with pytest.raises(DiagramError):
         store.amplitude(e, "01")
+    # a character or entry other than 0 and 1 is a DiagramError too
+    eng = Engine(3)
+    for bits in ("0a1", "01-", "0 1", "0.1", [0, 2, 1], [0, 0.5, 1], [0, None, 1]):
+        with pytest.raises(DiagramError):
+            eng.amplitude(bits)
+    assert eng.amplitude([0, 0, 0]) == eng.amplitude("000") == 1.0
 
 
 def test_three_qubit_paper_figure_state():
@@ -259,9 +267,9 @@ def test_ghz_tower_structure():
         pl.GeneratorSet(
             3,
             [
-                pl.from_text("XXX"),
-                pl.from_text("ZZI"),
-                pl.from_text("IZZ"),
+                from_text("XXX"),
+                from_text("ZZI"),
+                from_text("IZZ"),
             ],
         )
     )
@@ -383,21 +391,15 @@ def test_stab_gen_set_level_one_cases():
 
 def test_stab_level_one_scan_covers_negative_phases():
     # the swap rows of a level-one node cover forms make_edge never stores
-    from limdd.diagram import Node
-
     store = DiagramStore()
+    leaf = store.leaf
     for beta, want in [
         (-1.0, {(0, 0, 1), (1, 0, -1)}),
         (-1j, {(0, 0, 1), (1, 1, -1)}),
         (0.25j, {(0, 0, 1)}),
     ]:
-        v = Node(
-            1,
-            Edge(pl.identity(0), store.leaf),
-            Edge(pl.PauliLim(0, 0, 0, beta), store.leaf),
-            -1,
-        )
-        assert group_keys(store._stab_recursive(v)) == want
+        g = store._node_group(1, leaf, pl.PauliLim(0, 0, 0, beta), leaf)
+        assert group_keys(g) == want
 
 
 def test_stab_gen_set_on_clifford_t_stores():
@@ -509,7 +511,7 @@ def test_stab_cache_is_eager():
     for _ in range(5):
         edge_from_dense(store, random_vec(rng, 4, 0.3))
     for v in store.nodes:
-        assert v.nid in store._stab
+        assert v.stab is not None and v.stab.n == v.index
 
 
 def test_intersect_stabilizer_groups_matches_enumeration():
@@ -658,7 +660,7 @@ def assert_lane_edge(store, e, a, b, v0, v1, want_high, want_root):
             (p.x, p.z, 1 if p.scalar.real > 0 else -1)
             for p in brute_stabilizer_elements(node_vec)
         }
-        assert group_keys(store._stab[e.target.nid]) == brute
+        assert group_keys(e.target.stab) == brute
 
 
 def test_trivial_group_lane_matches_general_labels():
@@ -679,7 +681,7 @@ def test_trivial_group_lane_matches_general_labels():
         for _ in range(80):
             i = int(rng.integers(0, 4))
             v0, v1 = nodes[i], nodes[i if rng.integers(0, 2) else int(rng.integers(i, 4))]
-            assert not (store._stab[v0.nid].rows or store._stab[v1.nid].rows)
+            assert not (v0.stab.rows or v1.stab.rows)
             seen[v0 is v1] += 1
             a = random_pauli(rng, n, scalar_pool=pool)
             b = random_pauli(rng, n, scalar_pool=pool)
@@ -714,7 +716,7 @@ def test_trivial_group_lane_identity_store():
                 store, e, a, b, v0, v1, pl.mul(pl.inverse(a), b), pl.tensor_top("I", a)
             )
         store.audit()
-        assert list(store._stab) == [0]
+        assert not any(v.stab.rows for v in store.nodes)
         x = pl.PauliLim(n, 1, 0, 1.0)
         with pytest.raises(DiagramError):
             store.make_edge(Edge(x, nodes[0]), Edge(pl.identity(n), nodes[1]))
@@ -756,28 +758,6 @@ def test_pick_scalar_matches_scalar_cmp_on_adversarial_scalars():
                 assert got[0] == want[0], (lam, ms, same)
 
 
-def test_trivial_group_lane_falls_back_for_a_child_missing_from_stab():
-    # a child without a ``_stab`` entry takes the general path, which
-    # rebuilds the entry and gives the same edge
-    rng = np.random.default_rng(103)
-    n = 2
-    store = DiagramStore()
-    v0, v1 = sorted(
-        (edge_from_dense(store, random_vec(rng, n)).target for _ in range(2)), key=lambda v: v.nid
-    )
-    for w0, w1 in ((v0, v1), (v1, v1)):
-        del store._stab[w1.nid]
-        a = random_pauli(rng, n, scalar_pool=(0.5, -2.0j))
-        b = random_pauli(rng, n, scalar_pool=(1.5, 0.3 + 0.4j))
-        e = store.make_edge(Edge(a, w0), Edge(b, w1))
-        assert not store._stab[w1.nid].rows
-        want_high, b_root = general_labels(store, pl.mul(pl.inverse(a), b), w0, w1)
-        want_root = pl.mul(pl.tensor_top("I", a), b_root)
-        assert_lane_edge(store, e, a, b, w0, w1, want_high, want_root)
-        assert e.target.nid in store._stab
-    store.audit()
-
-
 def test_arg_lex_min_on_trivial_groups_is_the_label():
     rng = np.random.default_rng(79)
     store = DiagramStore()
@@ -810,8 +790,8 @@ def test_qmdd_build_never_touches_the_stabilizer_layer(monkeypatch):
     eng.sample(np.random.default_rng(1))
     assert eng.stats.apply_calls and eng.stats.add_calls
     assert not eng.store._pair_memo
-    # identity-group stores cache no stabilizer group beyond the leaf's
-    assert list(eng.store._stab) == [0]
+    # every node of an identity-group store has the group {I}
+    assert not any(v.stab.rows for v in eng.store.nodes)
 
 
 def test_get_labels_known_cases():
@@ -963,6 +943,26 @@ def test_audit_catches_corruption():
     v.low = Edge(pl.PauliLim(0, 0, 0, 2.0), store.leaf)
     with pytest.raises(DiagramError):
         store.audit()
+
+
+def test_audit_re_derives_each_group():
+    # a node whose stored group is not the one its children give fails the
+    # audit, whether rows are missing or a sign is wrong
+    store = DiagramStore()
+    vec = np.zeros(8, dtype=complex)
+    vec[0] = vec[7] = 1 / math.sqrt(2)
+    v = edge_from_dense(store, vec).target
+    good = v.stab
+    assert good.rows
+    for wrong in (
+        store.empty_set(v.index),
+        pl.GeneratorSet.packed(good.n, good.rows, good.signs ^ 1),
+    ):
+        v.stab = wrong
+        with pytest.raises(DiagramError):
+            store.audit()
+    v.stab = good
+    store.audit()
 
 
 def test_to_dot_smoke():

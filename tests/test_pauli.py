@@ -15,7 +15,9 @@ from oracles import (
     clifford_circuit_matrix,
     cx_matrix,
     enumerate_group,
+    from_text,
     group_keys,
+    lex_cmp,
     lim_to_matrix,
     random_stabilizer_genset,
 )
@@ -48,7 +50,7 @@ def test_single_letter_matrices():
         lim_to_matrix(pl.single(1, 1, "Y")), np.array([[0, -1j], [1j, 0]])
     )
     np.testing.assert_allclose(
-        lim_to_matrix(pl.from_text("XZ")),
+        lim_to_matrix(from_text("XZ")),
         np.kron(np.array([[0, 1], [1, 0]]), np.diag([1, -1])).astype(complex),
     )
 
@@ -112,11 +114,11 @@ def test_conjugate_group_matches_dense():
 
 
 def test_lex_order_examples():
-    assert pl.lex_cmp(pl.from_text("X"), pl.from_text("Y")) < 0
-    assert pl.lex_cmp(pl.from_text("ZI"), pl.from_text("ZX")) < 0
-    assert pl.lex_cmp(pl.from_text("Z"), pl.from_text("X")) < 0  # X block first
-    assert pl.lex_cmp(pl.from_text("X"), pl.from_text("-X")) < 0  # theta tie-break
-    assert pl.lex_cmp(pl.from_text("0.5*X"), pl.from_text("X")) < 0
+    assert lex_cmp(from_text("X"), from_text("Y")) < 0
+    assert lex_cmp(from_text("ZI"), from_text("ZX")) < 0
+    assert lex_cmp(from_text("Z"), from_text("X")) < 0  # X block first
+    assert lex_cmp(from_text("X"), from_text("-X")) < 0  # theta tie-break
+    assert lex_cmp(from_text("0.5*X"), from_text("X")) < 0
 
 
 def test_lex_order_total():
@@ -129,8 +131,8 @@ def test_lex_order_total():
 
     for a in lims:
         for b in lims:
-            c = pl.lex_cmp(a, b)
-            assert c == -pl.lex_cmp(b, a)
+            c = lex_cmp(a, b)
+            assert c == -lex_cmp(b, a)
             if key(a) < key(b):
                 assert c < 0
             elif key(a) > key(b):
@@ -138,13 +140,13 @@ def test_lex_order_total():
 
 
 def test_format_and_parse():
-    assert pl.format_lim(pl.from_text("-i*XZY")) == "-i*XZY"
+    assert pl.format_lim(from_text("-i*XZY")) == "-i*XZY"
     assert pl.format_lim(pl.identity(3)) == "III"
     assert pl.format_lim(pl.PauliLim(2, 0b10, 0b01, -1.0)) == "-XZ"
     assert pl.format_lim(pl.PauliLim(1, 1, 1, 1j)) == "i*Y"
     assert pl.format_lim(pl.PauliLim(2, 0, 0b11, 0.5)) == "0.5*ZZ"
     assert pl.format_lim(pl.zero(3)) == "0"
-    a = pl.from_text("0.5*XX")
+    a = from_text("0.5*XX")
     assert a.scalar == 0.5 and a.x == 0b11 and a.z == 0
 
 
@@ -181,7 +183,7 @@ def test_rref_preserves_group():
 
 
 def test_rref_detects_minus_identity():
-    g = pl.GeneratorSet(2, [pl.from_text("XI"), pl.from_text("-XI")])
+    g = pl.GeneratorSet(2, [from_text("XI"), from_text("-XI")])
     with pytest.raises(pl.NotAStabilizerGroupError):
         pl.rref(g)
 
@@ -346,9 +348,9 @@ def test_cx_convention_pinned():
         np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
     )
     # conjugation facts: CX X_c CX = X_c X_t ; CX Z_t CX = Z_c Z_t
-    a = pl.conjugate(pl.from_text("XI"), (("cx", 2, 1),))
+    a = pl.conjugate(from_text("XI"), (("cx", 2, 1),))
     assert pl.format_lim(a) == "XX"
-    b = pl.conjugate(pl.from_text("IZ"), (("cx", 2, 1),))
+    b = pl.conjugate(from_text("IZ"), (("cx", 2, 1),))
     assert pl.format_lim(b) == "ZZ"
 
 
@@ -381,8 +383,8 @@ def test_find_opposite_vs_enumeration():
 
 def test_find_opposite_known_case():
     # <XX, -ZZ> contains +YY and <-YY> contains -YY: opposite pair exists
-    g0 = pl.GeneratorSet(2, [pl.from_text("XX"), pl.from_text("-ZZ")])
-    g1 = pl.GeneratorSet(2, [pl.from_text("-YY")])
+    g0 = pl.GeneratorSet(2, [from_text("XX"), from_text("-ZZ")])
+    g1 = pl.GeneratorSet(2, [from_text("-YY")])
     h = pl.find_opposite(g0, g1)
     assert h is not None
     assert signed_key(h) in group_keys(g0)

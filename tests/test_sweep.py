@@ -62,7 +62,7 @@ def _dangling(eng: Engine) -> list:
     store does not hold (or holds as another object)."""
     store = eng.store
     held = {v.nid: v for v in store.nodes}
-    ids: list = list(store._stab) + list(eng._weight_table)
+    ids: list = []
     nodes: list = [e.target for e in _roots(eng)]
     for v in store.nodes[1:]:
         nodes += [v.low.target, v.high.target]
@@ -196,11 +196,24 @@ def test_held_edge_keeps_its_state_across_a_sweep():
     eng.run_gate("cx", 3, 2)
     held = eng.root
     want = eng.to_dense()
+
+    def measured():
+        rng = np.random.default_rng(5)
+        return (
+            eng.squared_norm(held),
+            [eng.measurement_probability(held, k, y) for k in (1, 2, 3) for y in (0, 1)],
+            [eng.sample(rng, held) for _ in range(16)],
+        )
+
+    before = measured()
     eng.run_gate("t", 1)
     eng.run_gate("h", 1)
     eng.collect()
     assert held.target not in eng.store.nodes
     assert np.allclose(eng.store.to_dense(held), want)
+    # the held nodes keep their weights: every measurement reads the same
+    assert held.target.weight is not None
+    assert measured() == before
     # the store no longer knows the dropped node: building it again makes a
     # new node with a new id
     eng.run_gate("h", 1)
