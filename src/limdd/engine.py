@@ -198,24 +198,17 @@ class Engine:
     """One n-qubit simulation context: store, root edge, caches, statistics.
 
     Qubit k is 1-based with qubit n the top level.  The root starts at
-    |0...0>.  ``use_caches=False`` turns the Apply/Add caches off (for
-    equivalence testing); ``debug=True`` re-audits the store after every
-    gate."""
+    |0...0>.  ``run_gate`` and ``run_mcx`` are its gate entries;
+    ``debug=True`` re-audits the store after every gate."""
 
-    def __init__(
-        self,
-        n: int,
-        mode: str = "limdd",
-        use_caches: bool = True,
-        debug: bool = False,
-    ):
+    def __init__(self, n: int, mode: str = "limdd", debug: bool = False):
+        n = _index(n, "qubit count")
         if n < 1:
             raise EngineError("need at least one qubit")
         if mode not in ("limdd", "qmdd"):
             raise EngineError(f"unknown mode {mode!r}")
         self.n = n
         self.mode = mode
-        self.use_caches = use_caches
         self.debug = debug
         self.store = DiagramStore("pauli" if mode == "limdd" else "identity")
         self.stats = EngineStats()
@@ -271,13 +264,11 @@ class Engine:
             return self._leaf_sum(e.label.scalar, f.label.scalar)
         if e.target.nid > f.target.nid:
             e, f = f, e
-        key = None
-        if self.use_caches:
-            key = self._pair_key("+", e, f)
-            got = self._add_cache.get(*key)
-            if got is not None:
-                self.stats.add_cache_hits += 1
-                return Edge(mul(e.label, got.label), got.target)
+        key = self._pair_key("+", e, f)
+        got = self._add_cache.get(*key)
+        if got is not None:
+            self.stats.add_cache_hits += 1
+            return Edge(mul(e.label, got.label), got.target)
         self.stats.add_cache_misses += 1
         return self._add_miss(e, f, key)
 
@@ -285,8 +276,7 @@ class Engine:
         a0 = yield self._add(self.store.follow(e, 0), self.store.follow(f, 0))
         a1 = yield self._add(self.store.follow(e, 1), self.store.follow(f, 1))
         res = self._node(a0, a1, e.target)
-        if key is not None:
-            self._add_cache.put(*key, Edge(mul(inverse(e.label), res.label), res.target))
+        self._add_cache.put(*key, Edge(mul(inverse(e.label), res.label), res.target))
         return res
 
     def _butterfly(self, e: Edge, f: Edge):
@@ -303,24 +293,18 @@ class Engine:
             return f, scale_edge(-1.0, f)
         if is_zero(f.label):
             return e, e
-        lvl = e.target.index
-        if f.target.index != lvl:
-            raise EngineError("butterfly needs equal levels")
-        if lvl == 0:
+        if e.target.index == 0:
             a, b = e.label.scalar, f.label.scalar
             return self._leaf_sum(a, b), self._leaf_sum(a, -b)
         swap = e.target.nid > f.target.nid
         if swap:
             e, f = f, e
-        fold = False
-        key = got = None
-        if self.use_caches:
-            disc, ks = self._pair_key("h", e, f)
-            if ks.real < 0 or (ks.real == 0 and ks.imag < 0):
-                fold = True
-                f, ks = scale_edge(-1.0, f), -ks
-            key = (disc, ks)
-            got = self._add_cache.get(*key)
+        disc, ks = self._pair_key("h", e, f)
+        fold = ks.real < 0 or (ks.real == 0 and ks.imag < 0)
+        if fold:
+            f, ks = scale_edge(-1.0, f), -ks
+        key = (disc, ks)
+        got = self._add_cache.get(*key)
         if got is None:
             st.add_cache_misses += 2
             return self._butterfly_miss(e, f, key, fold, swap)
@@ -333,11 +317,8 @@ class Engine:
         s1, d1 = yield self._butterfly(self.store.follow(e, 1), self.store.follow(f, 1))
         s = self._node(s0, s1, e.target)
         d = self._node(d0, d1, e.target)
-        if key is not None:
-            inv = inverse(e.label)
-            self._add_cache.put(
-                *key, tuple(Edge(mul(inv, r.label), r.target) for r in (s, d))
-            )
+        inv = inverse(e.label)
+        self._add_cache.put(*key, tuple(Edge(mul(inv, r.label), r.target) for r in (s, d)))
         return _unfold(s, d, fold, swap)
 
     def _cross(self, e: Edge, f: Edge, c: int):
@@ -353,21 +334,17 @@ class Engine:
             return (yield self._project(f, c, 1))
         if not (yield self._reaches(f, c, 1)):
             return (yield self._project(e, c, 0))
-        key = None
-        if self.use_caches:
-            flip = (e.label.x >> (c - 1)) & 1
-            key = self._pair_key(("x", c, flip), e, f)
-            got = self._add_cache.get(*key)
-            if got is not None:
-                return Edge(mul(e.label, got.label), got.target)
+        key = self._pair_key(("x", c, (e.label.x >> (c - 1)) & 1), e, f)
+        got = self._add_cache.get(*key)
+        if got is not None:
+            return Edge(mul(e.label, got.label), got.target)
         if e.target.index == c:
             r0, r1 = self.store.follow(e, 0), self.store.follow(f, 1)
         else:
             r0 = yield self._cross(self.store.follow(e, 0), self.store.follow(f, 0), c)
             r1 = yield self._cross(self.store.follow(e, 1), self.store.follow(f, 1), c)
         res = self._node(r0, r1, e.target)
-        if key is not None:
-            self._add_cache.put(*key, Edge(mul(inverse(e.label), res.label), res.target))
+        self._add_cache.put(*key, Edge(mul(inverse(e.label), res.label), res.target))
         return res
 
     def _reaches(self, e: Edge, k: int, b: int):
@@ -430,15 +407,13 @@ class Engine:
         ids = self._ids
         if span // 2 < len(ids) and u.target is ids[span // 2].target:
             return Edge(scale(u.label.scalar, e.label), e.target)
-        disc = None
-        if self.use_caches:
-            # labels are scalars here (gate diagrams need an identity-group
-            # store), so the targets are the key and the scalars factor out
-            disc = (u.target.nid, e.target.nid)
-            got = self._apply_cache.get(disc)
-            if got is not None:
-                self.stats.apply_cache_hits += 1
-                return scale_edge(u.label.scalar * e.label.scalar, got)
+        # labels are scalars here (gate diagrams need an identity-group
+        # store), so the targets are the key and the scalars factor out
+        disc = (u.target.nid, e.target.nid)
+        got = self._apply_cache.get(disc)
+        if got is not None:
+            self.stats.apply_cache_hits += 1
+            return scale_edge(u.label.scalar * e.label.scalar, got)
         self.stats.apply_cache_misses += 1
         return self._apply_miss(u, e, disc)
 
@@ -458,10 +433,7 @@ class Engine:
                 rows.append((yield self._add(p0, p1)))
             r0, r1 = rows
         res = self._node(r0, r1, e.target)
-        if disc is not None:
-            self._apply_cache[disc] = scale_edge(
-                1.0 / (u.label.scalar * e.label.scalar), res
-            )
+        self._apply_cache[disc] = scale_edge(1.0 / (u.label.scalar * e.label.scalar), res)
         return res
 
     # -- gate diagrams ------------------------------------------------------
@@ -572,11 +544,6 @@ class Engine:
 
     # -- structural gate paths ---------------------------------------------
 
-    def apply_pauli(self, e: Edge, p: PauliLim) -> Edge:
-        """Pauli gates touch only the root label."""
-        self._require_pauli_mode()
-        return Edge(mul(p, e.label), e.target)
-
     def _descend(self, e: Edge, level: int, op: tuple, step, at_node):
         """Push gate ``op`` acting on qubits <= level down to its level.
 
@@ -604,9 +571,8 @@ class Engine:
         self._unary_cache[key] = res
         return Edge(mul(lbl, res.label), res.target)
 
-    def apply_phase(self, e: Edge, k: int, gate: str) -> Edge:
+    def _phase(self, e: Edge, k: int, gate: str) -> Edge:
         """Diagonal phase gate ``gate`` (s, sdg, t or tdg) on qubit k."""
-        self._require_pauli_mode()
 
         def at_node(v, op):
             w = _PHASE_GATES[op[0]][0]
@@ -614,9 +580,7 @@ class Engine:
 
         return self._run(self._descend(e, k, (gate, k), _phase_step, at_node))
 
-    def apply_hadamard(self, e: Edge, k: int) -> Edge:
-        self._require_pauli_mode()
-
+    def _hadamard(self, e: Edge, k: int) -> Edge:
         def at_node(v, op):
             a0, a1 = yield self._butterfly(v.low, v.high)
             if is_zero(a0.label) and is_zero(a1.label):
@@ -625,18 +589,10 @@ class Engine:
 
         return self._run(self._descend(e, k, ("h", k), _conj_step((("h", k),)), at_node))
 
-    def apply_downward_cpauli(self, e: Edge, letter: str, c: int, t: int) -> Edge:
-        """Controlled Pauli with the control above the target (c > t)."""
-        self._require_pauli_mode()
-        if not c > t:
-            raise EngineError("downward form needs control above target")
-        letter = letter.upper()
-        if letter == "Z":
-            circ = (("h", t), ("cx", c, t), ("h", t))
-        elif letter == "X":
-            circ = (("cx", c, t),)
-        else:
-            raise EngineError(f"unsupported controlled Pauli {letter!r}")
+    def _cpauli_down(self, e: Edge, letter: str, c: int, t: int) -> Edge:
+        """Controlled X or Z (``letter``) with the control above the target
+        (c > t)."""
+        circ = (("h", t), ("cx", c, t), ("h", t)) if letter == "Z" else (("cx", c, t),)
 
         def at_node(v, op):
             q = single(v.index - 1, t, letter)
@@ -648,14 +604,11 @@ class Engine:
             self._descend(e, c, ("c" + letter, c, t), _conj_step(circ), at_node)
         )
 
-    def apply_upward_cnot(self, e: Edge, c: int, t: int) -> Edge:
+    def _cx_up(self, e: Edge, c: int, t: int) -> Edge:
         """CX with the target above the control (t > c).  At a node of the
         target level the new branches are P0|low> + P1|high> and P0|high> +
         P1|low>, P_b the projector onto the control = b; each is one
         ``_cross`` descent to the control level."""
-        self._require_pauli_mode()
-        if not t > c:
-            raise EngineError("upward form needs target above control")
 
         def at_node(v, op):
             a0 = yield self._cross(v.low, v.high, c)
@@ -668,14 +621,11 @@ class Engine:
             self._descend(e, t, ("cxu", c, t), _conj_step((("cx", c, t),)), at_node)
         )
 
-    def apply_mcx(self, e: Edge, controls: Iterable[tuple[int, int]], t: int) -> Edge:
+    def _mcx(self, e: Edge, controls: Iterable[tuple[int, int]], t: int) -> Edge:
         """Multi-controlled X via psi - P psi + X_t P psi, P the projector
         onto the control pattern (qubit, wanted bit)."""
-        self._require_pauli_mode()
         proj = e
         for q, want in controls:
-            if q == t:
-                raise EngineError("target cannot be a control")
             proj = self._run(self._project(proj, q, want))
             if is_zero(proj.label):
                 return e
@@ -695,13 +645,6 @@ class Engine:
             return self.store.make_edge(kept, dropped)
 
         return self._descend(e, k, ("proj", k, b), _proj_step, at_node)
-
-    def _require_pauli_mode(self) -> None:
-        if self.store.group != "pauli":
-            raise EngineError(
-                "structural gate paths write Pauli labels; qmdd mode must "
-                "use gate diagrams"
-            )
 
     # -- measurement --------------------------------------------------------
 
@@ -797,33 +740,30 @@ class Engine:
 
     def run_gate(self, name: str, *qubits: int) -> None:
         """Apply a named gate to the current root state.  A gate that raises
-        EngineError leaves the root as it was."""
+        EngineError leaves the root and ``stats.gate_count`` as they were."""
         name = name.lower()
         qubits = self._check_qubits(qubits)
+        e = self._dispatch(name, qubits)
         self.stats.gate_count += 1
-        self.set_root(self._dispatch(name, qubits))
+        self.set_root(e)
 
     def _dispatch(self, name: str, qubits: tuple) -> Edge:
         e = self.root
         if self.mode == "qmdd":
             e = self.apply_gate(self.gate_to_dd(name, qubits), e)
         elif name in ("x", "y", "z") and len(qubits) == 1:
-            e = self.apply_pauli(e, single(self.n, qubits[0], name))
+            e = Edge(mul(single(self.n, qubits[0], name), e.label), e.target)
         elif name == "i" and len(qubits) == 1:
             pass
         elif name in _PHASE_GATES and len(qubits) == 1:
-            e = self.apply_phase(e, qubits[0], name)
+            e = self._phase(e, qubits[0], name)
         elif name == "h" and len(qubits) == 1:
-            e = self.apply_hadamard(e, qubits[0])
+            e = self._hadamard(e, qubits[0])
         elif name == "cx" and len(qubits) == 2:
             c, t = qubits
-            if c > t:
-                e = self.apply_downward_cpauli(e, "X", c, t)
-            else:
-                e = self.apply_upward_cnot(e, c, t)
+            e = self._cpauli_down(e, "X", c, t) if c > t else self._cx_up(e, c, t)
         elif name == "cz" and len(qubits) == 2:
-            c, t = max(qubits), min(qubits)
-            e = self.apply_downward_cpauli(e, "Z", c, t)
+            e = self._cpauli_down(e, "Z", max(qubits), min(qubits))
         else:
             raise EngineError(f"unknown gate {name!r} for {len(qubits)} qubits")
         return e
@@ -831,7 +771,7 @@ class Engine:
     def run_mcx(self, controls: Iterable[tuple[int, int]], target: int) -> None:
         """Multi-controlled X on the current root, with gate bookkeeping;
         ``controls`` holds (qubit, wanted bit) pairs.  qmdd mode applies its
-        gate diagram, limdd mode ``apply_mcx``."""
+        gate diagram, limdd mode ``_mcx``."""
         controls = tuple(
             (_index(q, "qubit"), _index(want, "wanted bit")) for q, want in controls
         )
@@ -842,7 +782,7 @@ class Engine:
         if self.mode == "qmdd":
             e = self.apply_gate(self._mcx_to_dd(controls, target), self.root)
         else:
-            e = self.apply_mcx(self.root, controls, target)
+            e = self._mcx(self.root, controls, target)
         self.set_root(e)
 
     def set_root(self, e: Edge) -> None:

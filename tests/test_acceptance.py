@@ -317,7 +317,7 @@ def test_canonicity_equivalent_constructions():
         _fresh_root(eng)
         for op in ops[:cut]:
             eng.run_gate(*op)
-        eng.root = eng.apply_pauli(eng.root, g)
+        eng.root = Edge(mul(g, eng.root.label), eng.root.target)
         for op in ops[cut:]:
             eng.run_gate(*op)
         assert first.target.nid == eng.root.target.nid, f"pair {pairs}: {ops}"

@@ -780,18 +780,28 @@ def test_qmdd_build_never_touches_the_stabilizer_layer(monkeypatch):
     rng = np.random.default_rng(83)
     n = 5
     eng = Engine(n, mode="qmdd")
-    for _ in range(40):
-        if rng.random() < 0.4:
+    names = ("h", "s", "sdg", "t", "tdg", "x", "y", "z")
+    for _ in range(60):
+        r = rng.random()
+        if r < 0.1:
+            t, *cs = (int(q) + 1 for q in rng.choice(n, size=3, replace=False))
+            eng.run_mcx([(q, int(rng.integers(0, 2))) for q in cs], t)
+        elif r < 0.4:
             c, t = (int(q) + 1 for q in rng.choice(n, size=2, replace=False))
             eng.run_gate(("cx", "cz")[int(rng.integers(0, 2))], c, t)
         else:
-            name = ("h", "s", "t", "tdg")[int(rng.integers(0, 4))]
+            name = names[int(rng.integers(0, len(names)))]
             eng.run_gate(name, int(rng.integers(1, n + 1)))
     eng.sample(np.random.default_rng(1))
     assert eng.stats.apply_calls and eng.stats.add_calls
     assert not eng.store._pair_memo
     # every node of an identity-group store has the group {I}
     assert not any(v.stab.rows for v in eng.store.nodes)
+    # and no gate wrote a Pauli factor: every nonzero label is a scalar
+    labels = [eng.root.label]
+    for v in eng.store.nodes[1:]:
+        labels += [v.low.label, v.high.label]
+    assert all(pl.is_zero(lbl) or lbl.x == lbl.z == 0 for lbl in labels)
 
 
 def test_get_labels_known_cases():

@@ -149,20 +149,6 @@ def test_clifford_t_circuits_agree_across_backends():
             assert np.max(np.abs(vec - ref)) < 1e-10
 
 
-def test_cache_disabled_matches_enabled():
-    rng = np.random.default_rng(22)
-    for _ in range(8):
-        n = int(rng.integers(2, 6))
-        cached = Engine(n, use_caches=True)
-        plain = Engine(n, use_caches=False)
-        for name, qs in random_ops(rng, n, 30):
-            cached.run_gate(name, *qs)
-            plain.run_gate(name, *qs)
-            assert np.max(np.abs(cached.to_dense() - plain.to_dense())) < 1e-10
-    assert plain.stats.apply_cache_hits == 0
-    assert plain.stats.add_cache_hits == 0
-
-
 def test_apply_cache_hits_across_phase_factors():
     # a query differing from a stored entry only by a label scalar must hit
     eng = Engine(2, mode="qmdd")
@@ -220,11 +206,10 @@ def _same_state(eng, got, want):
         assert got.target is want.target
 
 
-@pytest.mark.parametrize("use_caches", [True, False])
-def test_butterfly_matches_two_adds(use_caches):
+def test_butterfly_matches_two_adds():
     rng = np.random.default_rng(91)
     m = 4
-    eng = Engine(m, use_caches=use_caches)
+    eng = Engine(m)
     top = 1 << (m - 1)
     for trial in range(60):
         e = _operand(eng, rng, xs=top if trial % 2 else 0)
@@ -236,8 +221,6 @@ def test_butterfly_matches_two_adds(use_caches):
         s, d = eng._run(eng._butterfly(e, f))
         _same_state(eng, s, eng.add(e, f))
         _same_state(eng, d, eng.add(e, scale_edge(-1.0, f)))
-    if not use_caches:
-        assert eng.stats.add_cache_hits == 0
 
 
 def test_butterfly_shares_one_entry_for_both_signs():
@@ -254,11 +237,10 @@ def test_butterfly_shares_one_entry_for_both_signs():
         _same_state(eng, d2, s)
 
 
-@pytest.mark.parametrize("use_caches", [True, False])
-def test_cross_matches_projections_and_add(use_caches):
+def test_cross_matches_projections_and_add():
     rng = np.random.default_rng(93)
     m = 4
-    eng = Engine(m, use_caches=use_caches)
+    eng = Engine(m)
     for trial in range(80):
         c = int(rng.integers(1, m + 1)) if trial % 4 else m
         flip = 1 << (c - 1)
@@ -407,7 +389,7 @@ def test_update_post_meas_follows_label_flips():
     for name, qs in random_ops(rng, n, 15):
         eng.run_gate(name, *qs)
     e = eng.root
-    flipped = eng.apply_pauli(e, pl.single(n, 2, "X"))
+    flipped = Edge(pl.mul(pl.single(n, 2, "X"), e.label), e.target)
     a = eng.store.to_dense(eng._run(eng._project(flipped, 2, 0)))
     b = eng.store.to_dense(eng._run(eng._project(e, 2, 1)))
     want = op_on_qubit(n, 2, X2) @ b
@@ -513,12 +495,12 @@ def test_phase_gate_square_is_z():
     for name, qs in random_ops(rng, n, 12):
         eng.run_gate(name, *qs)
     for k in (1, 2, 3):
-        twice = eng.apply_phase(eng.apply_phase(eng.root, k, "s"), k, "s")
-        direct = eng.apply_pauli(eng.root, pl.single(n, k, "Z"))
+        twice = eng._phase(eng._phase(eng.root, k, "s"), k, "s")
+        direct = Edge(pl.mul(pl.single(n, k, "Z"), eng.root.label), eng.root.target)
         assert np.allclose(
             eng.store.to_dense(twice), eng.store.to_dense(direct), atol=1e-10
         )
-        undone = eng.apply_phase(eng.apply_phase(eng.root, k, "s"), k, "sdg")
+        undone = eng._phase(eng._phase(eng.root, k, "s"), k, "sdg")
         assert np.allclose(
             eng.store.to_dense(undone), eng.to_dense(), atol=1e-10
         )
@@ -744,8 +726,7 @@ def test_qmdd_top_hadamard_past_the_recursion_limit():
     assert eng.node_count() == 600
 
 
-@pytest.mark.parametrize("use_caches", [True, False])
-def test_qmdd_random_circuits_match_dense_simulate(use_caches):
+def test_qmdd_random_circuits_match_dense_simulate():
     rng = np.random.default_rng(41)
     names = ("h", "s", "sdg", "t", "tdg", "x", "y", "z")
     for n in range(2, 8):
@@ -756,7 +737,7 @@ def test_qmdd_random_circuits_match_dense_simulate(use_caches):
                 ops.append(("cx" if rng.random() < 0.6 else "cz", (a, b)))
             else:
                 ops.append((names[int(rng.integers(0, 8))], (int(rng.integers(0, n)),)))
-        eng = Engine(n, mode="qmdd", use_caches=use_caches)
+        eng = Engine(n, mode="qmdd")
         for name, qs in ops:
             eng.run_gate(name, *(n - q for q in qs))
         ref = dense_simulate(Circuit(n, tuple(ops)))
@@ -773,7 +754,7 @@ def test_mcx_matches_dense():
         qubits = list(rng.permutation(n) + 1)
         t = int(qubits[0])
         controls = [(int(q), int(rng.integers(0, 2))) for q in qubits[1 : 1 + int(rng.integers(1, n))]]
-        got = eng.apply_mcx(eng.root, controls, t)
+        got = eng._mcx(eng.root, controls, t)
         ref = eng.to_dense()
         dim = 1 << n
         out = ref.copy()
@@ -786,24 +767,26 @@ def test_mcx_matches_dense():
         assert np.allclose(eng.store.to_dense(got), out, atol=1e-10)
 
 
-def test_qmdd_engine_rejects_structural_paths():
-    eng = Engine(2, mode="qmdd")
-    with pytest.raises(EngineError):
-        eng.apply_pauli(eng.root, pl.single(2, 1, "X"))
-    with pytest.raises(EngineError):
-        eng.apply_hadamard(eng.root, 1)
-
-
 def test_gate_argument_validation():
-    eng = Engine(2)
-    with pytest.raises(EngineError):
-        eng.run_gate("h", 3)
-    with pytest.raises(EngineError):
-        eng.run_gate("cx", 1, 1)
-    with pytest.raises(EngineError):
-        eng.run_gate("frobnicate", 1)
-    with pytest.raises(EngineError):
-        Engine(0)
+    for mode in ("limdd", "qmdd"):
+        eng = Engine(2, mode=mode)
+        eng.run_gate("x", 1)
+        root = eng.root
+        for name, qs in (
+            ("h", (3,)),          # qubit out of range
+            ("cx", (1, 1)),       # repeated qubit
+            ("frobnicate", (1,)),
+            ("h", ()),            # too few qubits
+            ("cx", (1,)),
+            ("h", (1, 2)),        # too many qubits
+        ):
+            with pytest.raises(EngineError):
+                eng.run_gate(name, *qs)
+            assert eng.root is root
+        assert eng.stats.gate_count == 1
+    for n in (0, 2.5, "3", None):
+        with pytest.raises(EngineError):
+            Engine(n)
     with pytest.raises(EngineError):
         Engine(2, mode="dense")
 
