@@ -1,10 +1,11 @@
 """Circuit text format, dense statevector oracle, and the run driver.
 
 Grammar: one instruction per line, `#` starts a comment.  The first
-instruction must be ``qubits N``; gates are ``h|s|sdg|t|tdg|x|y|z q``,
-``cx c t`` and ``cz a b``; ``measure q`` and ``measure_all`` must come after
-all gates.  Qubits are 0-based with qubit 0 the top of the diagram, and bit
-strings everywhere read left to right from qubit 0.
+instruction must be ``qubits N``; gates are ``h|i|s|sdg|t|tdg|x|y|z q``,
+``cx c t`` and ``cz a b`` (``engine.GATE_ARITY``, the engine's own gate
+set); ``measure q`` and ``measure_all`` must come after all gates.  Qubits
+are 0-based with qubit 0 the top of the diagram, and bit strings everywhere
+read left to right from qubit 0.
 
 Programmatic circuits may additionally contain a multi-controlled X op
 ``("mcx", (target, (ctrl, want), ...))`` which has no text form; it exists
@@ -17,25 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .engine import MAT_1Q, Engine
+from .engine import GATE_ARITY, MAT_1Q, Engine
 
 if TYPE_CHECKING:
     import numpy as np
 
 DENSE_LIMIT = 14
 COMPARE_SAMPLES = 64   # strings per engine in compare_modes past DENSE_LIMIT
-GATE_ARITY = {
-    "h": 1,
-    "s": 1,
-    "sdg": 1,
-    "t": 1,
-    "tdg": 1,
-    "x": 1,
-    "y": 1,
-    "z": 1,
-    "cx": 2,
-    "cz": 2,
-}
 
 
 class CircuitError(Exception):

@@ -43,6 +43,12 @@ explicit stack (``_run``), so a gate reaches any level.  Each takes its fast
 exits (a zero operand, the leaf, a cache hit, a qmdd identity block) as a
 plain call; only a miss returns a generator, which yields its children.
 
+``GATE_ARITY`` is the one gate set, which the circuit grammar reads too.
+Input is checked once, at the public entries: ``run_gate`` and
+``gate_to_dd`` check a gate's name, arity and qubits, ``run_mcx`` its
+qubits and wanted bits, ``add`` and ``apply_gate`` their operands' levels.
+The routes and the descent steps below them trust what they are given.
+
 Measurement reads each node's ``weight`` field: the log of the node's
 squared norm and the probability that its top qubit reads 1, filled by
 ``_weights`` from an explicit stack.  Log norms do not overflow where
@@ -60,13 +66,13 @@ sweep kept, so the store stays within a constant factor of the live diagram
 and a sweep, linear in the store, costs O(1) amortized per node created.
 A sweep empties the compute tables (Add, unary, reach and apply caches); a
 kept node keeps its weights, which are a field of the node.
-``circuit.build_engine`` calls it after every op; ``run_gate`` and
-``set_root`` never sweep, so a caller that holds an earlier root across
-gates keeps canonicity (the same state comes back as the same node) until
-it calls ``collect``.  Node ids are never reused, so a held edge still
-denotes its state after a sweep; but a dropped node that is built again is
-a new node, and a held edge to a dropped node must not be used as an
-operand.
+``circuit.build_engine``, the package's one gate loop, calls it after
+every op; ``run_gate`` and ``set_root`` never sweep, so a caller that holds
+an earlier root across gates keeps canonicity (the same state comes back as
+the same node) until it calls ``collect``.  Node ids are never reused, so
+a held edge still denotes its state after a sweep; but a dropped node that
+is built again is a new node, and a held edge to a dropped node must not be
+used as an operand.
 """
 
 from __future__ import annotations
@@ -116,6 +122,10 @@ MAT_1Q = {
     "h": ((complex(_SQRT1_2), complex(_SQRT1_2)), (complex(_SQRT1_2), complex(-_SQRT1_2))),
     **{name: ((1 + 0j, 0j), (0j, complex(w))) for name, (w, _) in _PHASE_GATES.items()},
 }
+
+# the one gate set: name -> number of qubit arguments (the circuit grammar,
+# ``run_gate`` and ``gate_to_dd`` all read it)
+GATE_ARITY = {**dict.fromkeys(MAT_1Q, 1), "cx": 2, "cz": 2}
 
 # projectors onto |0> and |1> (control blocks of gate diagrams)
 _PROJ = (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0)))
@@ -249,6 +259,8 @@ class Engine:
 
     def add(self, e: Edge, f: Edge) -> Edge:
         """Edge for |e> + |f| at the same level; Zero when the sum vanishes."""
+        if e.target.index != f.target.index:
+            raise EngineError("add needs equal levels")
         return self._run(self._add(e, f))
 
     def _add(self, e: Edge, f: Edge):
@@ -257,10 +269,7 @@ class Engine:
             return f
         if is_zero(f.label):
             return e
-        lvl = e.target.index
-        if f.target.index != lvl:
-            raise EngineError("add needs equal levels")
-        if lvl == 0:
+        if e.target.index == 0:
             return self._leaf_sum(e.label.scalar, f.label.scalar)
         if e.target.nid > f.target.nid:
             e, f = f, e
@@ -392,20 +401,20 @@ class Engine:
         and the identity on every qubit above.  An identity diagram (a
         canonical node of ``_identity``, of any level) returns ``e`` scaled
         by u's label, with no cache lookup and no descent."""
+        span = u.target.index
+        if span > 2 * e.target.index or span % 2:
+            raise EngineError("gate edge needs an even level, at most twice the state's")
         return self._run(self._apply(u, e))
 
     def _apply(self, u: Edge, e: Edge):
         self.stats.apply_calls += 1
         if is_zero(e.label):
             return e
-        lvl = e.target.index
-        span = u.target.index
-        if span > 2 * lvl or span % 2:
-            raise EngineError("gate edge needs an even level, at most twice the state's")
         if is_zero(u.label):
-            return Edge(zero(lvl), e.target)
+            return Edge(zero(e.target.index), e.target)
         ids = self._ids
-        if span // 2 < len(ids) and u.target is ids[span // 2].target:
+        m = u.target.index // 2
+        if m < len(ids) and u.target is ids[m].target:
             return Edge(scale(u.label.scalar, e.label), e.target)
         # labels are scalars here (gate diagrams need an identity-group
         # store), so the targets are the key and the scalars factor out
@@ -445,19 +454,17 @@ class Engine:
         ``apply_gate`` keys its cache on scalar labels."""
         if self.store.group != "identity":
             raise EngineError("gate diagrams run only in qmdd mode")
-        qubits = self._check_qubits(qubits)
+        qubits = self._check_gate(name, qubits)
         key = (name, qubits)
         got = self._gate_dd_cache.get(key)
         if got is not None:
             return got
-        if name in MAT_1Q and len(qubits) == 1:
+        if name in MAT_1Q:
             terms = ({qubits[0]: MAT_1Q[name]},)
-        elif name in ("cx", "cz") and len(qubits) == 2:
+        else:
             # |0><0|_c (x) I + |1><1|_c (x) U_t, CZ's control on the higher qubit
             c, t = (max(qubits), min(qubits)) if name == "cz" else qubits
             terms = ({c: _PROJ[0]}, {c: _PROJ[1], t: MAT_1Q[name[1]]})
-        else:
-            raise EngineError(f"unsupported gate {name!r} on {len(qubits)} qubits")
         res = self._gate_diagram(terms, max(qubits))
         self._gate_dd_cache[key] = res
         return res
@@ -477,6 +484,17 @@ class Engine:
             got = self.add(self.add(self._identity(k), scale_edge(-1.0, p)), xp)
             self._gate_dd_cache[key] = got
         return got
+
+    def _check_gate(self, name: str, qubits: Sequence[int]) -> tuple:
+        """``_check_qubits``, and raises unless ``name`` is a gate of
+        ``GATE_ARITY`` on that many qubits."""
+        qubits = self._check_qubits(qubits)
+        arity = GATE_ARITY.get(name)
+        if arity is None:
+            raise EngineError(f"unknown gate {name!r}")
+        if len(qubits) != arity:
+            raise EngineError(f"{name} takes {arity} qubit argument(s), not {len(qubits)}")
+        return qubits
 
     def _check_qubits(self, qubits: Sequence[int]) -> tuple:
         """The qubits as ints; raises unless they are distinct and in 1..n."""
@@ -519,28 +537,19 @@ class Engine:
 
     def _gate_diagram(self, terms: Sequence[dict], k: int) -> Edge:
         """Gate diagram on qubits 1..k (2k levels) of a sum of tensor
-        products, built level by level from the bottom; each term maps
-        qubits to 2x2 blocks, the identity elsewhere.  Where a term has only
-        identity blocks from the bottom up, its diagram is the canonical
-        ``_identity``, which the terms share.  k must be the highest qubit
-        any term acts on when there are several terms: there the terms'
-        blocks must have disjoint support, and the sum is taken cell by
-        cell, with no Add."""
+        products; each term maps qubits to 2x2 blocks, the identity
+        elsewhere.  Each term is built level by level from the bottom, and
+        the terms are summed only at level k, cell by cell with no Add, so
+        k must be the highest qubit any term acts on and the terms' blocks
+        there must have disjoint support.  ``_identity(k)`` is built first,
+        so by canonicity every identity block below k is a node of
+        ``_ids``, which ``apply_gate`` recognizes."""
         eye = MAT_1Q["i"]
+        self._identity(k)
         es = [self._ids[0]] * len(terms)
-        for level in range(1, k + 1):
-            parts = [(t.get(level, eye), e) for t, e in zip(terms, es)]
-            if len(parts) > 1 and level == k:
-                es = [self._gate_node(parts)]
-            else:
-                below = self._ids[level - 1] if level <= len(self._ids) else None
-                es = [
-                    self._identity(level)
-                    if m is eye and e is below
-                    else self._gate_node([(m, e)])
-                    for m, e in parts
-                ]
-        return es[0]
+        for level in range(1, k):
+            es = [self._gate_node([(t.get(level, eye), e)]) for t, e in zip(terms, es)]
+        return self._gate_node([(t.get(k, eye), e) for t, e in zip(terms, es)])
 
     # -- structural gate paths ---------------------------------------------
 
@@ -742,31 +751,28 @@ class Engine:
         """Apply a named gate to the current root state.  A gate that raises
         EngineError leaves the root and ``stats.gate_count`` as they were."""
         name = name.lower()
-        qubits = self._check_qubits(qubits)
+        qubits = self._check_gate(name, qubits)
         e = self._dispatch(name, qubits)
         self.stats.gate_count += 1
         self.set_root(e)
 
     def _dispatch(self, name: str, qubits: tuple) -> Edge:
+        """The root after gate ``name``, which ``run_gate`` has checked."""
         e = self.root
         if self.mode == "qmdd":
-            e = self.apply_gate(self.gate_to_dd(name, qubits), e)
-        elif name in ("x", "y", "z") and len(qubits) == 1:
-            e = Edge(mul(single(self.n, qubits[0], name), e.label), e.target)
-        elif name == "i" and len(qubits) == 1:
-            pass
-        elif name in _PHASE_GATES and len(qubits) == 1:
-            e = self._phase(e, qubits[0], name)
-        elif name == "h" and len(qubits) == 1:
-            e = self._hadamard(e, qubits[0])
-        elif name == "cx" and len(qubits) == 2:
+            return self.apply_gate(self.gate_to_dd(name, qubits), e)
+        if name in ("x", "y", "z"):
+            return Edge(mul(single(self.n, qubits[0], name), e.label), e.target)
+        if name in _PHASE_GATES:
+            return self._phase(e, qubits[0], name)
+        if name == "h":
+            return self._hadamard(e, qubits[0])
+        if name == "cx":
             c, t = qubits
-            e = self._cpauli_down(e, "X", c, t) if c > t else self._cx_up(e, c, t)
-        elif name == "cz" and len(qubits) == 2:
-            e = self._cpauli_down(e, "Z", max(qubits), min(qubits))
-        else:
-            raise EngineError(f"unknown gate {name!r} for {len(qubits)} qubits")
-        return e
+            return self._cpauli_down(e, "X", c, t) if c > t else self._cx_up(e, c, t)
+        if name == "cz":
+            return self._cpauli_down(e, "Z", max(qubits), min(qubits))
+        return e   # i
 
     def run_mcx(self, controls: Iterable[tuple[int, int]], target: int) -> None:
         """Multi-controlled X on the current root, with gate bookkeeping;
@@ -778,11 +784,11 @@ class Engine:
         target = self._check_qubits((target,) + tuple(q for q, _ in controls))[0]
         if any(want not in (0, 1) for _, want in controls):
             raise EngineError("mcx wanted bits must be 0 or 1")
-        self.stats.gate_count += 1
         if self.mode == "qmdd":
             e = self.apply_gate(self._mcx_to_dd(controls, target), self.root)
         else:
             e = self._mcx(self.root, controls, target)
+        self.stats.gate_count += 1
         self.set_root(e)
 
     def set_root(self, e: Edge) -> None:

@@ -6,9 +6,9 @@ caller gets the node store, statistics and measurement machinery along with
 the edge.  Graph and coset states are built directly as towers (one node per
 level) with the defining labels on the high edges; "qmdd" variants run the
 equivalent gate circuit instead, since identity-group labels cannot carry
-the Pauli strings the direct towers use.  Constructors that run gates sweep
-the store after each one (``Engine.collect``), as ``circuit.build_engine``
-does.
+the Pauli strings the direct towers use.  Constructors that run gates build
+a ``Circuit`` and run it through ``circuit.build_engine``, which sweeps the
+store after every op.
 
 Vertex v of a graph maps to qubit level n - v, so vertex 0 is the top qubit
 and bit strings read left to right match the vertex order.
@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .circuit import Circuit, build_engine
 from .diagram import Edge, scale_edge
 from .engine import Engine
 from .pauli import PauliLim, gf2_eliminate, identity, mul, scale, zero
@@ -70,15 +71,10 @@ class Coset:
 
 def graph_state(g: Graph, mode: str = "limdd") -> Engine:
     """Engine holding (1/sqrt(2^n)) sum_x (-1)^{#edges inside x} |x>."""
-    eng = Engine(g.n, mode=mode)
     if mode == "qmdd":
-        for k in range(1, g.n + 1):
-            eng.run_gate("h", k)
-            eng.collect()
-        for a, b in sorted(g.edges):
-            eng.run_gate("cz", g.n - a, g.n - b)
-            eng.collect()
-        return eng
+        hs = [("h", (v,)) for v in reversed(range(g.n))]
+        return build_engine(Circuit(g.n, (*hs, *(("cz", e) for e in sorted(g.edges)))), mode)
+    eng = Engine(g.n, mode=mode)
     store = eng.store
     er = Edge(identity(0), store.leaf)
     for level in range(1, g.n + 1):
@@ -133,14 +129,17 @@ def coset_state(c: Coset) -> Engine:
 
 
 def stabilizer_state(n: int, gates, mode: str = "limdd") -> Engine:
-    """Run an h/s/cx gate list on |0...0>."""
-    eng = Engine(n, mode=mode)
-    for gate in gates:
-        if gate[0] not in ("h", "s", "cx"):
-            raise StateError(f"non-Clifford gate {gate[0]!r}")
-        eng.run_gate(*gate)
-        eng.collect()
-    return eng
+    """Run an h/s/cx gate list on |0...0>; gates are ``(name, *qubits)``
+    with the engine's 1-based qubits."""
+    ops = []
+    for name, *qubits in gates:
+        if name not in ("h", "s", "cx"):
+            raise StateError(f"non-Clifford gate {name!r}")
+        try:
+            ops.append((name, tuple(n - q for q in qubits)))
+        except TypeError:
+            raise StateError(f"bad qubits in gate {name!r}") from None
+    return build_engine(Circuit(n, tuple(ops)), mode)
 
 
 def w_state_as_circuit(n: int):
@@ -150,8 +149,6 @@ def w_state_as_circuit(n: int):
     non-one-hot pattern of A flips one low qubit (register B) through a
     multi-controlled X; finally each B qubit uncomputes the 1-bits of its
     pattern."""
-    from .circuit import Circuit
-
     m = n.bit_length() - 1
     if n < 2 or (1 << m) != n:
         raise StateError("W circuit is defined for powers of two, n >= 2")

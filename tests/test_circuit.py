@@ -90,6 +90,10 @@ def test_format_parse_round_trip():
             measures.append(("measure_all",))
         c = Circuit(n, tuple(ops), tuple(measures))
         assert parse_circuit(format_circuit(c)) == c
+    # the identity gate is part of the grammar too
+    c = Circuit(2, (("i", (0,)), ("h", (1,)), ("i", (1,))), (("measure_all",),))
+    assert format_circuit(c) == "qubits 2\ni 0\nh 1\ni 1\nmeasure_all\n"
+    assert parse_circuit(format_circuit(c)) == c
 
 
 def test_format_rejects_mcx():

@@ -768,6 +768,7 @@ def test_mcx_matches_dense():
 
 
 def test_gate_argument_validation():
+    messages: dict = {}
     for mode in ("limdd", "qmdd"):
         eng = Engine(2, mode=mode)
         eng.run_gate("x", 1)
@@ -780,15 +781,31 @@ def test_gate_argument_validation():
             ("cx", (1,)),
             ("h", (1, 2)),        # too many qubits
         ):
-            with pytest.raises(EngineError):
+            with pytest.raises(EngineError) as err:
                 eng.run_gate(name, *qs)
             assert eng.root is root
+            messages.setdefault((name, qs), set()).add(str(err.value))
         assert eng.stats.gate_count == 1
+    # one check before the route, so both modes give the same message
+    assert all(len(m) == 1 for m in messages.values()), messages
+    assert messages[("h", (1, 2))] == {"h takes 1 qubit argument(s), not 2"}
     for n in (0, 2.5, "3", None):
         with pytest.raises(EngineError):
             Engine(n)
     with pytest.raises(EngineError):
         Engine(2, mode="dense")
+
+
+def test_add_and_apply_gate_reject_mismatched_levels():
+    eng = Engine(3, mode="qmdd")
+    low = eng.store.follow(eng.root, 0)                  # level 2
+    with pytest.raises(EngineError, match="equal levels"):
+        eng.add(eng.root, low)
+    u = eng.gate_to_dd("x", (2,))                        # 4 levels
+    with pytest.raises(EngineError, match="even level"):
+        eng.apply_gate(eng.store.follow(u, 1), eng.root)     # 3 levels
+    with pytest.raises(EngineError, match="twice"):
+        eng.apply_gate(u, eng.store.follow(low, 0))          # state of level 1
 
 
 def test_limdd_engine_rejects_gate_diagrams():

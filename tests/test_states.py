@@ -213,6 +213,9 @@ def test_stabilizer_states_are_towers():
 def test_stabilizer_state_rejects_non_clifford():
     with pytest.raises(StateError):
         stabilizer_state(2, [("t", 1)])
+    for qubit in ("1", None):
+        with pytest.raises(StateError, match="bad qubits"):
+            stabilizer_state(2, [("h", qubit)])
 
 
 def test_w_circuit_structure():
