@@ -44,8 +44,9 @@ exits (a zero operand, the leaf, a cache hit, a qmdd identity block) as a
 plain call; only a miss returns a generator, which yields its children.
 
 ``GATE_ARITY`` is the one gate set, which the circuit grammar reads too.
-Input is checked once, at the public entries: ``run_gate`` and
-``gate_to_dd`` check a gate's name, arity and qubits, ``run_mcx`` its
+Input is checked once, at the public entries: ``gate_to_dd`` and
+``run_gate`` (through ``gate_to_dd`` in qmdd mode) check a gate's name,
+read in any case, its arity and its qubits, ``run_mcx`` its
 qubits and wanted bits, ``add`` and ``apply_gate`` their operands' levels.
 The routes and the descent steps below them trust what they are given.
 
@@ -53,10 +54,13 @@ Measurement reads each node's ``weight`` field: the log of the node's
 squared norm and the probability that its top qubit reads 1, filled by
 ``_weights`` from an explicit stack.  Log norms do not overflow where
 absolute norms reach 2^n.
-``sample`` draws a full basis string by walking one path down from the
-root, one branch probability per level; ``measurement_probability`` walks
-down level by level, carrying the probability of each (node, X parity on
-the measured qubit) pair.  Neither creates a node or recurses.
+Scalars and Z factors of the labels cancel out of these probabilities, so
+only the labels' X bits are carried down.  ``sample`` draws a full basis
+string by walking one path down from the root, one branch probability per
+level, carrying the X mask of the path's label product;
+``measurement_probability`` walks down level by level, carrying the
+probability of each (node, X parity on the measured qubit) pair.  Neither
+creates a node, a label or an edge, nor recurses.
 
 Memory: ``collect`` sweeps the store (``DiagramStore.sweep``) down to what
 its roots reach: the current root, the identity diagrams of ``_identity``
@@ -451,9 +455,11 @@ class Engine:
         """Diagram of a named gate on the given 1-based qubits, local to
         qubits 1..k, k the highest of them: 2k levels, which ``apply_gate``
         applies to a state of any level >= k.  qmdd mode only, since
-        ``apply_gate`` keys its cache on scalar labels."""
+        ``apply_gate`` keys its cache on scalar labels.  The name is read
+        in any case, as ``run_gate`` reads it."""
         if self.store.group != "identity":
             raise EngineError("gate diagrams run only in qmdd mode")
+        name = name.lower()
         qubits = self._check_gate(name, qubits)
         key = (name, qubits)
         got = self._gate_dd_cache.get(key)
@@ -727,22 +733,32 @@ class Engine:
         the top qubit.
 
         Walks down one path from the root, taking branch 0 with its
-        probability from the node's weights (p1 swapped to 1 - p1 when the
-        label has an X or Y on that qubit), drawn with one ``rng.random()``.
-        Only node weights are computed (and kept on the nodes); no node is
+        probability from the node's weights, drawn with one ``rng.random()``.
+        Scalars and Z factors of the labels above a level cancel out of its
+        branch probabilities, so the walk carries only the X mask of the
+        path's label product, as ``measurement_probability`` carries the X
+        parity: an X or Y on the level's qubit swaps p1 for 1 - p1 and the
+        branch taken for outcome b, and the mask below is the mask's lower
+        bits XOR the branch label's X bits.  The walk never enters a zero
+        branch, whose probability is exactly 0.  Only node weights are
+        computed (and kept on the nodes); no node, label or edge is
         created."""
-        cur = self.root if e is None else e
-        if is_zero(cur.label):
+        e = self.root if e is None else e
+        if is_zero(e.label):
             raise EngineError("zero state has no measurement probabilities")
-        self._weights(cur.target)
+        v, x = e.target, e.label.x
+        if v.weight is None:
+            self._weights(v)
         bits = []
-        while cur.target.index:
-            v = cur.target
+        while v.index:
+            t = v.index - 1
+            flip = (x >> t) & 1
             p1 = v.weight[1]
-            p0 = p1 if (cur.label.x >> (v.index - 1)) & 1 else 1.0 - p1
-            b = 0 if rng.random() < p0 else 1
+            b = 0 if rng.random() < (p1 if flip else 1.0 - p1) else 1
             bits.append("01"[b])
-            cur = self.store.follow(cur, b)
+            c = v.high if b ^ flip else v.low
+            x = (x & ((1 << t) - 1)) ^ c.label.x
+            v = c.target
         return "".join(bits)
 
     # -- top-level driver ---------------------------------------------------
@@ -751,16 +767,18 @@ class Engine:
         """Apply a named gate to the current root state.  A gate that raises
         EngineError leaves the root and ``stats.gate_count`` as they were."""
         name = name.lower()
-        qubits = self._check_gate(name, qubits)
-        e = self._dispatch(name, qubits)
+        if self.mode == "qmdd":
+            # gate_to_dd checks the gate
+            e = self.apply_gate(self.gate_to_dd(name, qubits), self.root)
+        else:
+            e = self._dispatch(name, self._check_gate(name, qubits))
         self.stats.gate_count += 1
         self.set_root(e)
 
     def _dispatch(self, name: str, qubits: tuple) -> Edge:
-        """The root after gate ``name``, which ``run_gate`` has checked."""
+        """The root after gate ``name``, which ``run_gate`` has checked, by
+        its structural route (limdd mode)."""
         e = self.root
-        if self.mode == "qmdd":
-            return self.apply_gate(self.gate_to_dd(name, qubits), e)
         if name in ("x", "y", "z"):
             return Edge(mul(single(self.n, qubits[0], name), e.label), e.target)
         if name in _PHASE_GATES:

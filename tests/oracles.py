@@ -1,7 +1,9 @@
 """Brute-force reference implementations used by the tests.
 
 Everything here works on dense numpy arrays or explicit enumeration so it
-shares no logic with the package under test beyond the data types.
+shares no logic with the package under test beyond the data types, except
+``edge_from_dense``, which builds a diagram through ``make_edge``, and
+``sample_by_follow``, which draws by ``DiagramStore.follow``.
 Conventions match the package: qubit k is bit k-1 of a basis index, so the
 top qubit n is the most significant bit and the leftmost character of a
 printed bit string.
@@ -343,3 +345,23 @@ def edge_from_dense(store, vec: np.ndarray):
         e0 = edge_from_dense(store, lo)
         return store.make_edge(e0, Edge(zero(n - 1), e0.target))
     return store.make_edge(edge_from_dense(store, lo), edge_from_dense(store, hi))
+
+
+def sample_by_follow(eng, rng, e) -> str:
+    """One basis-string draw from |e> by the label algebra: at each level,
+    branch 0 with the node's probability (p1 swapped to 1 - p1 under an X
+    or Y on that qubit), drawn with one ``rng.random()``, then
+    ``store.follow`` to the edge of the drawn outcome.  Unlike the rest of
+    this module it walks the package's own diagram and weights; it is the
+    reference ``Engine.sample`` must match draw for draw on one rng
+    stream."""
+    eng._weights(e.target)
+    bits = []
+    while e.target.index:
+        v = e.target
+        p1 = v.weight[1]
+        p0 = p1 if (e.label.x >> (v.index - 1)) & 1 else 1.0 - p1
+        b = 0 if rng.random() < p0 else 1
+        bits.append("01"[b])
+        e = eng.store.follow(e, b)
+    return "".join(bits)

@@ -18,7 +18,7 @@ from limdd.circuit import (
     compare_modes,
     dense_simulate,
 )
-from limdd.diagram import Edge, scale_edge
+from limdd.diagram import DiagramStore, Edge, scale_edge
 from limdd.engine import Engine, EngineError
 from limdd.states import w_state_as_circuit
 from oracles import (
@@ -33,6 +33,7 @@ from oracles import (
     edge_from_dense,
     op_on_qubit,
     random_clifford_circuit,
+    sample_by_follow,
 )
 
 GATES_1Q = ("h", "s", "sdg", "t", "x", "y", "z")
@@ -457,6 +458,74 @@ def test_sample_frequencies_match_amplitudes():
     assert counts[2] == 0
 
 
+def clifford_t_with_x_labels(rng, mode, n):
+    """A seeded random Clifford+T state, then x or y on up to three qubits,
+    which a limdd engine writes onto the root label as X bits."""
+    eng = Engine(n, mode=mode)
+    for name, qs in random_ops(rng, n, 4 * n):
+        eng.run_gate(name, *qs)
+    for q in rng.choice(n, size=min(n, 3), replace=False):
+        eng.run_gate(("x", "y")[int(rng.integers(2))], int(q) + 1)
+    return eng
+
+
+def assert_draws_match_follow(eng, e, seed, shots=64):
+    a, b = random.Random(seed), random.Random(seed)
+    got = [eng.sample(a, e) for _ in range(shots)]
+    assert got == [sample_by_follow(eng, b, e) for _ in range(shots)]
+
+
+def test_sample_draws_equal_the_follow_walk():
+    # the X-mask walk takes the branch that store.follow takes, on the
+    # same random draws
+    rng = np.random.default_rng(35)
+    x_roots = 0
+    for mode in ("limdd", "qmdd"):
+        for n in range(1, 9):
+            for rep in range(3):
+                eng = clifford_t_with_x_labels(rng, mode, n)
+                x_roots += bin(eng.root.label.x).count("1") >= 2
+                assert_draws_match_follow(eng, eng.root, 100 * n + rep)
+                below = eng.store.follow(eng.root, 1)
+                if not pl.is_zero(below.label):
+                    assert_draws_match_follow(eng, below, 100 * n + rep)
+    assert x_roots >= 10
+    # qmdd zero-low nodes: |1> on qubits 3 and 2, |+> on qubit 1
+    eng = Engine(3, mode="qmdd")
+    for name, q in (("x", 3), ("x", 2), ("h", 1)):
+        eng.run_gate(name, q)
+    assert pl.is_zero(eng.root.target.low.label)
+    assert_draws_match_follow(eng, eng.root, 7)
+    # dense states with empty outcomes, one of them a whole half
+    vec = rng.normal(size=8) + 1j * rng.normal(size=8)
+    vec[2] = 0.0
+    for mode in ("limdd", "qmdd"):
+        for v in (vec, np.where(np.arange(8) < 4, 0.0, vec)):
+            eng = Engine(3, mode=mode)
+            e = edge_from_dense(eng.store, v)
+            assert_draws_match_follow(eng, e, 8)
+            assert all(abs(v[int(eng.sample(rng, e), 2)]) > 0 for _ in range(64))
+
+
+def test_sample_does_no_label_algebra(monkeypatch):
+    rng = np.random.default_rng(36)
+    engines = [ghz_engine(64), clifford_t_with_x_labels(rng, "limdd", 8)]
+    assert bin(engines[1].root.label.x).count("1") >= 2
+
+    def refuse(*_):
+        raise AssertionError("DiagramStore.follow called")
+
+    monkeypatch.setattr(DiagramStore, "follow", refuse)
+    drawn = []
+    for k, eng in enumerate(engines):
+        draws = random.Random(k)
+        drawn.append([eng.sample(draws) for _ in range(100)])
+    monkeypatch.undo()
+    for k, eng in enumerate(engines):
+        draws = random.Random(k)
+        assert drawn[k] == [sample_by_follow(eng, draws, eng.root) for _ in range(100)]
+
+
 def test_prob_of_string_matches_amplitudes():
     # per-qubit outcome probabilities are the marginals of the dense state
     rng = np.random.default_rng(31)
@@ -811,6 +880,30 @@ def test_add_and_apply_gate_reject_mismatched_levels():
 def test_limdd_engine_rejects_gate_diagrams():
     with pytest.raises(EngineError, match="qmdd"):
         Engine(2).gate_to_dd("x", (1,))
+
+
+def test_gate_to_dd_reads_names_in_any_case():
+    eng = Engine(2, mode="qmdd")
+    u = eng.gate_to_dd("H", (1,))
+    assert np.allclose(gate_matrix(eng, u, 1), H2, atol=1e-12)
+    assert eng.gate_to_dd("h", (1,)) is u
+    assert eng.gate_to_dd("CX", (2, 1)) is eng.gate_to_dd("cx", (2, 1))
+
+
+def test_run_gate_checks_the_gate_once(monkeypatch):
+    calls = []
+    check = Engine._check_gate
+
+    def counted(self, name, qubits):
+        calls.append((name, tuple(qubits)))
+        return check(self, name, qubits)
+
+    monkeypatch.setattr(Engine, "_check_gate", counted)
+    for mode in ("limdd", "qmdd"):
+        eng = Engine(2, mode=mode)
+        calls.clear()
+        eng.run_gate("H", 1)
+        assert calls == [("h", (1,))]
 
 
 def test_mcx_argument_validation():
