@@ -245,8 +245,12 @@ def run(config: RunConfig, circuit: Circuit) -> dict:
     if config.dot is not None:
         if eng is None:
             raise CircuitError("dot output needs a diagram mode")
-        with open(config.dot, "w", encoding="utf-8") as fh:
-            fh.write(eng.store.to_dot(eng.root))
+        text = eng.store.to_dot(eng.root)
+        try:
+            with open(config.dot, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CircuitError(f"cannot write dot file: {exc}") from None
         report["dot"] = config.dot
 
     if config.compare is not None:

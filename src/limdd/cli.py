@@ -64,6 +64,9 @@ def run_command(file, mode, amplitudes, shots, seed, stats, compare, dot, as_jso
     except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
         sys.exit(2)
+    except UnicodeDecodeError as exc:
+        click.echo(f"parse error: {file} is not UTF-8 text ({exc.reason} at byte {exc.start})", err=True)
+        sys.exit(2)
     config = RunConfig(
         mode=mode,
         seed=seed,

@@ -200,16 +200,20 @@ class DiagramStore:
     Trivial-group lane: most nodes of a non-stabilizer state, and every
     node of an identity-group store, have the stabilizer group {I}.  There
     the double-coset minimum of a label is the label itself.  ``make_edge``
-    takes the lane when both children's groups have no rows:
+    takes the lane when both children's groups have no rows.  It computes
+    the string, phase and scalar of a^-1 b from the packed ints, in mul's
+    float order, without building a^-1 or the product;
     ``_trivial_choice`` picks the high scalar, ``_trivial_root`` builds the
-    root label, and ``_node_group`` gives a new node at most one swap row
-    (``_swap_rows``), with no call to ``get_labels``,
-    ``get_stabilizer_gen_set`` or the coset machinery.  ``get_labels``
-    answers trivial groups with the same helpers, and ``arg_lex_min`` and
-    ``root_label`` return the label itself, so every route computes the
-    same result without an elimination.  ``follow`` computes a branch label
-    in one product, and skips the Pauli algebra for a label whose string is
-    the identity."""
+    root label (directly from a when no branch swap is taken), and
+    ``_node_group`` gives a new node at most one swap row (``_swap_rows``),
+    with no call to ``get_labels``, ``get_stabilizer_gen_set`` or the coset
+    machinery.  ``get_labels`` answers trivial groups with the same
+    helpers, and ``arg_lex_min`` and ``root_label`` return the label itself,
+    so every route computes the same result without an elimination.
+    ``follow`` computes a branch label in one product, and skips the Pauli
+    algebra for a label whose string is the identity; ``leaf_scalars``
+    reads a level-1 edge's two amplitudes by follow's float operations
+    without building either branch."""
 
     def __init__(self, group: str = "pauli"):
         if group not in ("pauli", "identity"):
@@ -328,6 +332,34 @@ class DiagramStore:
         return Edge(
             PauliLim(t, rx ^ c.x, rz ^ c.z, diag * a.scalar * c.scalar * _PHASES[phi]),
             branch.target,
+        )
+
+    def leaf_scalars(self, e: Edge) -> tuple[Optional[complex], Optional[complex]]:
+        """The two amplitudes of a nonzero edge on a level-1 node: the
+        scalar of ``follow(e, b)``'s label for b = 0, 1, by follow's float
+        operations, and None for a zero branch (a zero high edge, or an
+        identity-group store's zero low edge).  Builds no label or edge."""
+        v, a = e.target, e.label
+        lo, hi = v.low.label, v.high.label
+        s = a.scalar
+        if not (a.x or a.z):
+            return (
+                None if is_zero(lo) else s * lo.scalar,
+                None if is_zero(hi) else s * hi.scalar,
+            )
+        # one qubit: the label is an X, Y or Z factor; X or Y swaps the
+        # branches, and Z or Y negates the phase on branch x ^ 1
+        x, zb = a.x, a.z
+        d = _PHASES[x & zb]
+        nd = -d if zb else d
+        if x:
+            c0, c1, d0, d1 = hi, lo, nd, d
+        else:
+            c0, c1, d0, d1 = lo, hi, d, nd
+        p = _PHASES[0]
+        return (
+            None if is_zero(c0) else d0 * s * c0.scalar * p,
+            None if is_zero(c1) else d1 * s * c1.scalar * p,
         )
 
     def amplitude(self, e: Edge, bits) -> complex:
@@ -522,21 +554,21 @@ class DiagramStore:
 
     # -- canonicalizing constructor -----------------------------------------
 
-    def _trivial_choice(self, a_hat: PauliLim, same: bool) -> tuple[complex, int, int]:
+    def _trivial_choice(self, hx: int, hz: int, lam: complex, same: bool) -> tuple[complex, int, int]:
         """(scalar, x, s) of the canonical high label scalar * P of
-        node(I v0, a_hat v1), a_hat = lambda P, when both children have the
-        group {I} (every child of an identity-group store does): the double
-        coset of a_hat is a_hat alone, so only the scalar is chosen, from
-        lambda and -lambda and, when the children are one node (``same``),
-        1/lambda and -1/lambda.  x says the 1/lambda branch swap was taken,
-        s the sign flip; ``_trivial_root`` turns them into the root
+        node(I v0, a_hat v1), a_hat = lam P and P the string (hx, hz), when
+        both children have the group {I} (every child of an identity-group
+        store does): the double coset of a_hat is a_hat alone, so only the
+        scalar is chosen, from lam and -lam and, when the children are one
+        node (``same``), 1/lam and -1/lam.  x says the 1/lam branch swap was
+        taken, s the sign flip; ``_trivial_root`` turns them into the root
         correction.  An identity-group store has no X or Z correction, so
-        it keeps lambda and rejects a Pauli string."""
+        it keeps lam and rejects a Pauli string."""
         if self.group == "identity":
-            if not a_hat.is_identity_string():
+            if hx or hz:
                 raise DiagramError("identity-group store cannot hold Pauli labels")
-            return a_hat.scalar, 0, 0
-        return _pick_scalar(a_hat.scalar, 1.0, same)
+            return lam, 0, 0
+        return _pick_scalar(lam, 1.0, same)
 
     def get_labels(
         self, a_hat: PauliLim, v0: Node, v1: Node
@@ -548,8 +580,9 @@ class DiagramStore:
         g0 = self.get_stabilizer_gen_set(v0)
         g1 = self.get_stabilizer_gen_set(v1)
         if not (g0.rows or g1.rows):
-            best, x, s = self._trivial_choice(a_hat, v0 is v1)
-            return PauliLim(n, a_hat.x, a_hat.z, best), _trivial_root(identity(n), a_hat, x, s)
+            hx, hz, lam = a_hat.x, a_hat.z, a_hat.scalar
+            best, x, s = self._trivial_choice(hx, hz, lam, v0 is v1)
+            return PauliLim(n, hx, hz, best), _trivial_root(identity(n), hx, hz, lam, x, s)
         w0, w1, _ = self.arg_lex_min(g0, g1, a_hat)
         m = mul(mul(w0, PauliLim(n, a_hat.x, a_hat.z, 1.0)), w1)
         # every candidate carries m's string, so only the scalars compete
@@ -592,17 +625,21 @@ class DiagramStore:
                 )
                 self._zero_high[v0.nid] = node
             return Edge(tensor_top("I", a), node)
-        a_hat = mul(inverse(a), b)
         if not (v0.stab.rows or v1.stab.rows):
-            # trivial-group lane (every pair of an identity-group store)
-            best, x, s = self._trivial_choice(a_hat, v0 is v1)
-            disc = (v0.nid, v1.nid, a_hat.x, a_hat.z)
+            # trivial-group lane (every pair of an identity-group store):
+            # a_hat = a^-1 b as string (hx, hz) and scalar lam, by mul's
+            # float operations on inverse(a) and b
+            hx, hz = a.x ^ b.x, a.z ^ b.z
+            lam = (1.0 / a.scalar) * b.scalar * _PHASES[phase_exp(a.x, a.z, b.x, b.z)]
+            best, x, s = self._trivial_choice(hx, hz, lam, v0 is v1)
+            disc = (v0.nid, v1.nid, hx, hz)
             node = self._table.get(disc, best)
             if node is None:
-                b_high = PauliLim(m, a_hat.x, a_hat.z, best)
+                b_high = PauliLim(m, hx, hz, best)
                 node = self._new_node(m + 1, Edge(identity(m), v0), Edge(b_high, v1))
                 self._table.put(disc, best, node)
-            return Edge(_trivial_root(a, a_hat, x, s), node)
+            return Edge(_trivial_root(a, hx, hz, lam, x, s), node)
+        a_hat = mul(inverse(a), b)
         b_high, b_root = self.get_labels(a_hat, v0, v1)
         disc = (v0.nid, v1.nid) + _lim_disc(b_high)
         node = self._table.get(disc, b_high.scalar)
@@ -747,14 +784,16 @@ def _signed(lam: complex, ms: complex) -> tuple[complex, int]:
     return (-lam * ms, 1) if flip else (c, 0)
 
 
-def _trivial_root(a: PauliLim, a_hat: PauliLim, x: int, s: int) -> PauliLim:
+def _trivial_root(a: PauliLim, hx: int, hz: int, lam: complex, x: int, s: int) -> PauliLim:
     """(I (x) a) . B_root for the choice (x, s) of ``_trivial_choice``, where
-    B_root = (X (x) a_hat)^x (Z^s (x) I)."""
+    B_root = (X (x) a_hat)^x (Z^s (x) I) and a_hat = lam (hx, hz).  Without
+    the branch swap the root is a's string and scalar with Z^s on top, and
+    a_hat is not read."""
     m = a.n
     top = 1 << m
     if not x:
         return PauliLim(m + 1, a.x, a.z | (top if s else 0), a.scalar)
-    r = mul(PauliLim(m + 1, a.x, a.z, a.scalar), PauliLim(m + 1, a_hat.x | top, a_hat.z, a_hat.scalar))
+    r = mul(PauliLim(m + 1, a.x, a.z, a.scalar), PauliLim(m + 1, hx | top, hz, lam))
     # (X (x) c)(Z (x) I) = -i Y (x) c
     return PauliLim(m + 1, r.x, r.z | top, -1j * r.scalar) if s else r
 

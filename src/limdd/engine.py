@@ -37,7 +37,15 @@ themselves and it never runs a stabilizer elimination (see
 
 Add, the butterfly and the cross-select share one computed table, keyed by
 both targets and the root label of the first label's inverse times the
-second.  Every structural route, the projections behind multi-controlled X
+second.  Add and the butterfly use it at levels >= 2 only, and take two
+exits that neither read nor write it.  A level-1 pair is summed (and for
+the butterfly differenced) from the operands' amplitudes
+(``DiagramStore.leaf_scalars``), with one ``make_edge`` per result and no
+level-0 call.  A pair on one node whose key has an identity string is f =
+k e modulo the node's stabilizers, so the sum is (1 + k) e and the
+difference (1 - k) e, with no descent.
+
+Every structural route, the projections behind multi-controlled X
 included, is one ``_descend``.  The descents, Add and ApplyGate run on one
 explicit stack (``_run``), so a gate reaches any level.  Each takes its fast
 exits (a zero operand, the leaf, a cache hit, a qmdd identity block) as a
@@ -155,7 +163,11 @@ def _index(v, what: str) -> int:
 class EngineStats:
     """Gate and cache counters.  A butterfly (Hadamard's sum and difference
     in one descent) counts as two Adds in ``add_calls`` and in the hit or
-    miss count, the two Adds it stands for; the cross-select of upward CX
+    miss count, the two Adds it stands for.  ``add_cache_hits`` counts only
+    table reads that returned an entry; an Add the table did not answer is
+    a miss, and that includes the two exits that skip the table (a level-1
+    pair and a one-node pair), so hits plus misses is every Add above the
+    leaf that had two nonzero operands.  The cross-select of upward CX
     counts in no Add counter.  An identity block that ``apply_gate``
     returns as it is (qmdd mode) counts as an apply call, and as neither an
     apply-cache hit nor a miss.  The Adds that build a qmdd multi-controlled
@@ -194,6 +206,12 @@ def _proj_step(lbl: PauliLim, op: tuple) -> tuple:
     onto k = 1 - b when P_k is X or Y."""
     _, k, b = op
     return lbl, ("proj", k, b ^ ((lbl.x >> (k - 1)) & 1))
+
+
+def _vanishes(s: complex, a: complex, b: complex) -> bool:
+    """Whether s, the sum of a and b or of a and -b, is zero up to
+    rounding: |s| <= EPS_EQ max(1, |a|, |b|)."""
+    return abs(s) <= EPS_EQ * max(1.0, abs(a), abs(b))
 
 
 def _unfold(s: Edge, d: Edge, fold: bool, swap: bool) -> tuple:
@@ -268,21 +286,33 @@ class Engine:
         return self._run(self._add(e, f))
 
     def _add(self, e: Edge, f: Edge):
-        self.stats.add_calls += 1
+        st = self.stats
+        st.add_calls += 1
         if is_zero(e.label):
             return f
         if is_zero(f.label):
             return e
-        if e.target.index == 0:
+        v = e.target
+        if v.index == 0:
             return self._leaf_sum(e.label.scalar, f.label.scalar)
-        if e.target.nid > f.target.nid:
+        if v.index == 1:
+            st.add_cache_misses += 1
+            e0, e1 = self.store.leaf_scalars(e)
+            f0, f1 = self.store.leaf_scalars(f)
+            return self._node(self._leaf_add(e0, f0), self._leaf_add(e1, f1), v)
+        if v.nid > f.target.nid:
             e, f = f, e
         key = self._pair_key("+", e, f)
+        disc, k = key
+        if e.target is f.target and not (disc[3] or disc[4]):
+            # f = k e modulo the node's stabilizers
+            st.add_cache_misses += 1
+            return self._times(1.0 + k, k, e)
         got = self._add_cache.get(*key)
         if got is not None:
-            self.stats.add_cache_hits += 1
+            st.add_cache_hits += 1
             return Edge(mul(e.label, got.label), got.target)
-        self.stats.add_cache_misses += 1
+        st.add_cache_misses += 1
         return self._add_miss(e, f, key)
 
     def _add_miss(self, e: Edge, f: Edge, key):
@@ -298,21 +328,35 @@ class Engine:
 
         The entry of (e, f) is keyed as ``add`` keys it; a key scalar in the
         lower half-plane is folded onto (e, -f), whose sum and difference
-        are the same pair swapped, so both signs share one entry.  A call
-        counts as two Adds in ``add_calls`` and in the hit or miss count."""
+        are the same pair swapped, so both signs share one entry.  Level-1
+        pairs and one-node pairs take ``add``'s two table-free exits.  A
+        call counts as two Adds in ``add_calls`` and in the hit or miss
+        count."""
         st = self.stats
         st.add_calls += 2
         if is_zero(e.label):
             return f, scale_edge(-1.0, f)
         if is_zero(f.label):
             return e, e
-        if e.target.index == 0:
+        v = e.target
+        if v.index == 0:
             a, b = e.label.scalar, f.label.scalar
             return self._leaf_sum(a, b), self._leaf_sum(a, -b)
-        swap = e.target.nid > f.target.nid
+        if v.index == 1:
+            st.add_cache_misses += 2
+            e0, e1 = self.store.leaf_scalars(e)
+            f0, f1 = self.store.leaf_scalars(f)
+            s0, d0 = self._leaf_butterfly(e0, f0)
+            s1, d1 = self._leaf_butterfly(e1, f1)
+            return self._node(s0, s1, v), self._node(d0, d1, v)
+        swap = v.nid > f.target.nid
         if swap:
             e, f = f, e
         disc, ks = self._pair_key("h", e, f)
+        if e.target is f.target and not (disc[3] or disc[4]):
+            # f = ks e modulo the node's stabilizers
+            st.add_cache_misses += 2
+            return self._times(1.0 + ks, ks, e), self._times(1.0 - ks, ks, e)
         fold = ks.real < 0 or (ks.real == 0 and ks.imag < 0)
         if fold:
             f, ks = scale_edge(-1.0, f), -ks
@@ -388,9 +432,40 @@ class Engine:
 
     def _leaf_sum(self, a: complex, b: complex) -> Edge:
         s = a + b
-        if abs(s) <= EPS_EQ * max(1.0, abs(a), abs(b)):
+        if _vanishes(s, a, b):
             return Edge(zero(0), self.store.leaf)
         return Edge(PauliLim(0, 0, 0, s), self.store.leaf)
+
+    def _leaf(self, a: Optional[complex]) -> Edge:
+        """The leaf edge of amplitude a; None is the zero edge."""
+        if a is None:
+            return Edge(zero(0), self.store.leaf)
+        return Edge(PauliLim(0, 0, 0, a), self.store.leaf)
+
+    def _leaf_add(self, a: Optional[complex], b: Optional[complex]) -> Edge:
+        """The leaf Add of amplitudes a and b (None a zero term)."""
+        if a is None:
+            return self._leaf(b)
+        if b is None:
+            return self._leaf(a)
+        return self._leaf_sum(a, b)
+
+    def _leaf_butterfly(self, a: Optional[complex], b: Optional[complex]) -> tuple:
+        """The leaf butterfly of amplitudes a and b (None a zero term)."""
+        if a is None:
+            return self._leaf(b), self._leaf(None if b is None else -1.0 * b)
+        if b is None:
+            e = self._leaf(a)
+            return e, e
+        return self._leaf_sum(a, b), self._leaf_sum(a, -b)
+
+    @staticmethod
+    def _times(c: complex, k: complex, e: Edge) -> Edge:
+        """c |e> for c = 1 + k or 1 - k, the sum or difference of |e> and
+        k |e>; the zero edge when c vanishes as ``_leaf_sum`` tests it."""
+        if _vanishes(c, 1.0, k):
+            return Edge(zero(e.target.index), e.target)
+        return scale_edge(c, e)
 
     def _node(self, e0: Edge, e1: Edge, v) -> Edge:
         """make_edge(e0, e1), or the zero edge on ``v``'s level when both

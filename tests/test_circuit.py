@@ -372,6 +372,27 @@ def test_cli_engine_error_is_one_line(tmp_path):
     assert res.output.count("\n") == 1
 
 
+def test_cli_non_utf8_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.qc"
+    path.write_bytes("qubits 1\n# caf\xe9\nh 0\n".encode("latin-1"))
+    res = CliRunner().invoke(cli_main, ["run", str(path)])
+    assert res.exit_code == 2
+    assert res.output.startswith("parse error: ")
+    assert "UTF-8" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_cli_unwritable_dot_path_is_an_error(tmp_path):
+    path = tmp_path / "bell.qc"
+    path.write_text(BELL)
+    dot = tmp_path / "missing" / "x.dot"
+    res = CliRunner().invoke(cli_main, ["run", str(path), "--dot", str(dot)])
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ")
+    assert res.output.count("\n") == 1
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_cli_shots_past_the_recursion_limit(tmp_path):
     # --shots walks Engine.sample, which does not recurse
     path = tmp_path / "deep.qc"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -19,7 +20,7 @@ from limdd.circuit import (
     dense_simulate,
 )
 from limdd.diagram import DiagramStore, Edge, scale_edge
-from limdd.engine import Engine, EngineError
+from limdd.engine import Engine, EngineError, EngineStats
 from limdd.states import w_state_as_circuit
 from oracles import (
     H2,
@@ -1035,3 +1036,193 @@ def test_stats_output_shape():
     d = eng.stats.as_dict()
     assert d["gate_count"] == 3
     assert d["peak_nodes"] >= 3
+
+
+# -- Add's terminal rules: level-1 pairs and one-node pairs -----------------
+
+
+def _level1_edges(store, rng):
+    """Edges on level-1 nodes of ``store``: both branches nonzero, a zero
+    high branch and a zero low branch (a zero-low node in an identity-group
+    store), under every label string the store allows and random scalars."""
+    strings = ((0, 0), (1, 0), (1, 1), (0, 1)) if store.group == "pauli" else ((0, 0),)
+    out = []
+    for _ in range(6):
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        for vec in ((a, b), (a, 0), (0, b)):
+            e = edge_from_dense(store, np.array(vec))
+            for x, z in strings:
+                s = complex(*rng.normal(size=2))
+                p = pl.PauliLim(1, x, z, s)
+                out.append(Edge(pl.mul(p, e.label), e.target))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["limdd", "qmdd"])
+def test_leaf_scalars_equal_follow_exactly(mode):
+    rng = np.random.default_rng(61)
+    store = Engine(1, mode=mode).store
+    edges = _level1_edges(store, rng)
+    if mode == "qmdd":
+        assert any(pl.is_zero(e.target.low.label) for e in edges)
+    else:
+        assert {(e.label.x, e.label.z) for e in edges} == {(0, 0), (1, 0), (1, 1), (0, 1)}
+    assert any(pl.is_zero(e.target.high.label) for e in edges)
+    for e in edges:
+        got = store.leaf_scalars(e)
+        for b in (0, 1):
+            lbl = store.follow(e, b).label
+            assert got[b] == (None if pl.is_zero(lbl) else lbl.scalar)
+
+
+def _stat_delta(eng, before):
+    now = eng.stats
+    return (
+        now.add_calls - before.add_calls,
+        now.add_cache_hits - before.add_cache_hits,
+        now.add_cache_misses - before.add_cache_misses,
+    )
+
+
+@pytest.mark.parametrize("mode", ["limdd", "qmdd"])
+def test_level1_add_and_butterfly_match_dense(mode):
+    rng = np.random.default_rng(62)
+    eng = Engine(1, mode=mode)
+    dense = eng.store.to_dense
+    edges = _level1_edges(eng.store, rng)
+    for _ in range(80):
+        e, f = (edges[int(i)] for i in rng.integers(0, len(edges), size=2))
+        before = EngineStats(**eng.stats.as_dict())
+        got = eng.add(e, f)
+        assert _stat_delta(eng, before) == (1, 0, 1)
+        assert np.max(np.abs(dense(got) - (dense(e) + dense(f)))) < 1e-12
+        before = EngineStats(**eng.stats.as_dict())
+        s, d = eng._run(eng._butterfly(e, f))
+        assert _stat_delta(eng, before) == (2, 0, 2)
+        assert np.max(np.abs(dense(s) - (dense(e) + dense(f)))) < 1e-12
+        assert np.max(np.abs(dense(d) - (dense(e) - dense(f)))) < 1e-12
+        # exact cancellation is the zero edge
+        assert pl.is_zero(eng.add(e, scale_edge(-1.0, e)).label)
+        assert pl.is_zero(eng._run(eng._butterfly(e, e))[1].label)
+        assert pl.is_zero(eng._run(eng._butterfly(e, scale_edge(-1.0, e)))[0].label)
+
+
+def test_level1_step_under_a_deeper_add():
+    # the level-1 step is the bottom of every descent at level >= 2
+    rng = np.random.default_rng(63)
+    for mode in ("limdd", "qmdd"):
+        eng = Engine(3, mode=mode)
+        for _ in range(10):
+            vecs = [rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(2)]
+            vecs[1][rng.random(8) < 0.4] = 0.0
+            e, f = (edge_from_dense(eng.store, v) for v in vecs)
+            got = eng.add(e, f)
+            assert np.max(np.abs(eng.store.to_dense(got) - (vecs[0] + vecs[1]))) < 1e-12
+            s, d = eng._run(eng._butterfly(e, f))
+            assert np.max(np.abs(eng.store.to_dense(s) - (vecs[0] + vecs[1]))) < 1e-12
+            assert np.max(np.abs(eng.store.to_dense(d) - (vecs[0] - vecs[1]))) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, -1, 1j, 0.3 + 0.1j])
+def test_one_node_exit_on_stabilizer_towers(k):
+    rng = np.random.default_rng(64)
+    n = 5
+    for trial in range(6):
+        eng = Engine(n)
+        for gate in random_clifford_circuit(n, rng, 4 * n):
+            eng.run_gate(*gate)
+        e = eng.root
+        v = e.target
+        assert v.stab.rows
+        # f = k w e, w a stabilizer element of e's node, so f = k e as states
+        w = v.stab.gens[trial % len(v.stab.gens)] if trial % 2 else pl.identity(n)
+        f = Edge(pl.scale(k, pl.mul(e.label, w)), v)
+        want = eng.store.to_dense(e)
+        created = eng.store.nodes_created()
+        before = EngineStats(**eng.stats.as_dict())
+        got = eng.add(e, f)
+        assert _stat_delta(eng, before) == (1, 0, 1)
+        before = EngineStats(**eng.stats.as_dict())
+        s, d = eng._run(eng._butterfly(e, f))
+        assert _stat_delta(eng, before) == (2, 0, 2)
+        assert eng.store.nodes_created() == created
+        for res, c in ((got, 1 + k), (s, 1 + k), (d, 1 - k)):
+            if c == 0:
+                assert pl.is_zero(res.label)
+            else:
+                assert res.target is v
+                assert np.max(np.abs(eng.store.to_dense(res) - c * want)) < 1e-12
+
+
+def test_add_counters_by_path():
+    # a table hit counts one hit and no miss; every path that skips the
+    # table (leaf pairs above level 0, one-node pairs) counts a miss
+    rng = np.random.default_rng(65)
+    eng = Engine(3)
+    e, f = (
+        edge_from_dense(eng.store, rng.normal(size=8) + 1j * rng.normal(size=8))
+        for _ in range(2)
+    )
+    eng.add(e, f)
+    before = EngineStats(**eng.stats.as_dict())
+    eng.add(e, f)
+    assert _stat_delta(eng, before) == (1, 1, 0)
+    eng._run(eng._butterfly(e, f))
+    before = EngineStats(**eng.stats.as_dict())
+    eng._run(eng._butterfly(e, f))
+    assert _stat_delta(eng, before) == (2, 2, 0)
+    # zero operands and level-0 pairs count as calls only
+    before = EngineStats(**eng.stats.as_dict())
+    eng.add(e, Edge(pl.zero(3), e.target))
+    leaf = Edge(pl.identity(0), eng.store.leaf)
+    eng._run(eng._add(leaf, leaf))
+    assert _stat_delta(eng, before) == (2, 0, 0)
+
+
+# -- output identity: node counts and samples recorded before Add's
+# terminal rules, which must not move them
+
+
+def _guard_circuit(seed: int) -> Circuit:
+    """An 8-qubit Clifford+T circuit: layers of H, T and a CX ladder down,
+    H, T and a CX ladder up, then H, which saturate the state, and a seeded
+    random tail of 60 gates."""
+    n = 8
+    ops = []
+    for ladder in ([(q, q + 1) for q in range(n - 1)], [(q + 1, q) for q in range(n - 1)]):
+        ops += [("h", (q,)) for q in range(n)] + [("t", (q,)) for q in range(n)]
+        ops += [("cx", pair) for pair in ladder]
+    ops += [("h", (q,)) for q in range(n)]
+    rng = random.Random(f"guard/{seed}")
+    for _ in range(60):
+        kind = rng.choice(("h", "h", "t", "t", "tdg", "s", "x", "z", "cx", "cx", "cz"))
+        if kind in ("cx", "cz"):
+            ops.append((kind, tuple(rng.sample(range(n), 2))))
+        else:
+            ops.append((kind, (rng.randrange(n),)))
+    return Circuit(n, tuple(ops))
+
+
+def _guard_record(seed: int, mode: str) -> tuple:
+    """(live nodes, store nodes, sha256 prefix of 64 samples)."""
+    eng = build_engine(_guard_circuit(seed), mode)
+    rng = random.Random(f"guard/{seed}/shots")
+    shots = "".join(eng.sample(rng) for _ in range(64))
+    return eng.node_count(), eng.store.node_count(), hashlib.sha256(shots.encode()).hexdigest()[:16]
+
+
+# recorded with the Add that descended to level 0 through the table
+GUARD_RECORDS = {
+    ("limdd", 1): (255, 610, "e59ecf97c031c20c"),
+    ("limdd", 2): (255, 640, "eda06bd8d5ee4674"),
+    ("limdd", 3): (255, 258, "5a66748ecf5459ba"),
+    ("qmdd", 1): (255, 690, "e59ecf97c031c20c"),
+    ("qmdd", 2): (255, 933, "eda06bd8d5ee4674"),
+    ("qmdd", 3): (255, 519, "5a66748ecf5459ba"),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["limdd", "qmdd"])
+def test_clifford_t_outputs_match_the_record(seed, mode):
+    assert _guard_record(seed, mode) == GUARD_RECORDS[mode, seed]
