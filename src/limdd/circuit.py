@@ -192,10 +192,10 @@ class RunConfig:
     dot: Optional[str] = None
 
 
-def build_engine(c: Circuit, mode: str, debug: bool = False) -> Engine:
+def build_engine(c: Circuit, mode: str) -> Engine:
     """Run the circuit's ops on a fresh engine, collecting after each op so
     the store stays within a constant factor of the live diagram."""
-    eng = Engine(c.n, mode=mode, debug=debug)
+    eng = Engine(c.n, mode=mode)
     for name, qs in c.ops:
         if name == "mcx":
             target, controls = _check_mcx(qs, c.n)
@@ -209,9 +209,16 @@ def build_engine(c: Circuit, mode: str, debug: bool = False) -> Engine:
 def run(config: RunConfig, circuit: Circuit) -> dict:
     if config.mode not in ("limdd", "qmdd", "dense"):
         raise CircuitError(f"unknown mode {config.mode!r}")
+    if config.seed < 0:
+        raise CircuitError(f"seed must be non-negative, not {config.seed}")
     for bits in config.amplitudes:
         if len(bits) != circuit.n or set(bits) - {"0", "1"}:
             raise CircuitError(f"bad amplitude bit string {bits!r}")
+    if config.dot is not None:
+        if config.mode == "dense":
+            raise CircuitError("dot output needs a diagram mode")
+        # fail before the simulation; appending nothing keeps what the file holds
+        _write_dot(config.dot, "a", "")
     report: dict = {"schema": 1, "mode": config.mode, "n": circuit.n}
     eng: Optional[Engine] = None
     vec: Optional[np.ndarray] = None
@@ -243,14 +250,7 @@ def run(config: RunConfig, circuit: Circuit) -> dict:
         report["stats"] = _stats_dict(eng, circuit)
 
     if config.dot is not None:
-        if eng is None:
-            raise CircuitError("dot output needs a diagram mode")
-        text = eng.store.to_dot(eng.root)
-        try:
-            with open(config.dot, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CircuitError(f"cannot write dot file: {exc}") from None
+        _write_dot(config.dot, "w", eng.store.to_dot(eng.root))
         report["dot"] = config.dot
 
     if config.compare is not None:
@@ -259,6 +259,16 @@ def run(config: RunConfig, circuit: Circuit) -> dict:
             "max_delta": compare_modes(circuit, config.mode, config.compare),
         }
     return report
+
+
+def _write_dot(path: str, how: str, text: str) -> None:
+    """Write ``text`` to ``path`` opened with ``how``; an OSError becomes a
+    CircuitError."""
+    try:
+        with open(path, how, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CircuitError(f"cannot write dot file: {exc}") from None
 
 
 def _draw_shots(eng, vec, shots, n, rng):

@@ -140,9 +140,6 @@ class ScalarKeyedTable:
     def __init__(self):
         self._d: dict = {}
 
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._d.values())
-
     def get(self, disc: tuple, scalar: complex):
         re, im = scalar.real, scalar.imag
         tol = 2.0 * EPS_EQ * max(1.0, abs(scalar))
@@ -650,42 +647,6 @@ class DiagramStore:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def audit(self) -> None:
-        """Re-walk the store checking every reduction invariant and every
-        node's group, re-derived from its children's; raises on violation.
-        Meant for debug runs and tests."""
-        for v in self.nodes[1:]:
-            low, high = v.low, v.high
-            if low.target.index != v.index - 1 or high.target.index != v.index - 1:
-                raise DiagramError(f"{v!r}: child level mismatch")
-            g = self._node_group(v.index, low.target, high.label, high.target)
-            if g.content_key() != v.stab.content_key():
-                raise DiagramError(f"{v!r}: stored group is not the one its children give")
-            if is_zero(low.label):
-                if self.group != "identity":
-                    raise DiagramError(f"{v!r}: zero low label")
-                if high.target is not low.target or not (
-                    high.label.is_identity_string() and high.label.scalar == 1.0
-                ):
-                    raise DiagramError(f"{v!r}: malformed zero-low node")
-                continue
-            if not (low.label.is_identity_string() and low.label.scalar == 1.0):
-                raise DiagramError(f"{v!r}: low label not identity")
-            if is_zero(high.label):
-                if high.target is not low.target:
-                    raise DiagramError(f"{v!r}: zero high edge with distinct target")
-                continue
-            if self.group == "pauli" and low.target.nid > high.target.nid:
-                raise DiagramError(f"{v!r}: low precedence violated")
-            bh, _ = self.get_labels(high.label, low.target, high.target)
-            if (bh.x, bh.z) != (high.label.x, high.label.z) or not _scalar_close(
-                bh.scalar, high.label.scalar
-            ):
-                raise DiagramError(
-                    f"{v!r}: high label {format_lim(high.label)} is not the "
-                    f"canonical {format_lim(bh)}"
-                )
-
     def to_dot(self, e: Edge) -> str:
         """Graphviz text for the DAG under ``e``: one rank per level, dashed
         low edges, solid high edges, labels in debug form."""
@@ -738,7 +699,7 @@ def _swap_rows(a1: PauliLim, opp: Optional[PauliLim]) -> list[PauliLim]:
     rows = []
     for letter, c, q in (("X", 1.0, s), ("Y", -1j, -s)):
         if abs(q - 1.0) <= EPS_EQ:
-            rows.append(tensor_top(letter, a1, c))
+            rows.append(tensor_top(letter, scale(c, a1)))
         elif opp is not None and abs(q + 1.0) <= EPS_EQ:
             rows.append(tensor_top(letter, mul(scale(c, a1), opp)))
     return rows

@@ -37,13 +37,14 @@ themselves and it never runs a stabilizer elimination (see
 
 Add, the butterfly and the cross-select share one computed table, keyed by
 both targets and the root label of the first label's inverse times the
-second.  Add and the butterfly use it at levels >= 2 only, and take two
-exits that neither read nor write it.  A level-1 pair is summed (and for
-the butterfly differenced) from the operands' amplitudes
-(``DiagramStore.leaf_scalars``), with one ``make_edge`` per result and no
-level-0 call.  A pair on one node whose key has an identity string is f =
-k e modulo the node's stabilizers, so the sum is (1 + k) e and the
-difference (1 - k) e, with no descent.
+second, with the operands in the order they come: (e, f) and (f, e) are two
+entries, and so are the butterflies of f and of -f.  Add and the butterfly
+use it at levels >= 2 only, and take two exits that neither read nor write
+it.  A level-1 pair is summed (and for the butterfly differenced) from the
+operands' amplitudes (``DiagramStore.leaf_scalars``), with one
+``make_edge`` per result and no level-0 call.  A pair on one node whose key
+has an identity string is f = k e modulo the node's stabilizers, so the sum
+is (1 + k) e and the difference (1 - k) e, with no descent.
 
 Every structural route, the projections behind multi-controlled X
 included, is one ``_descend``.  The descents, Add and ApplyGate run on one
@@ -214,13 +215,6 @@ def _vanishes(s: complex, a: complex, b: complex) -> bool:
     return abs(s) <= EPS_EQ * max(1.0, abs(a), abs(b))
 
 
-def _unfold(s: Edge, d: Edge, fold: bool, swap: bool) -> tuple:
-    """Undo the butterfly's operand swap and sign fold on (sum, difference)."""
-    if fold:
-        s, d = d, s
-    return s, scale_edge(-1.0, d) if swap else d
-
-
 def _conj_step(circ):
     """Clifford U past the label P: U P = (U P U^dagger) U."""
     return lambda lbl, op: (conjugate(lbl, circ), op)
@@ -230,10 +224,9 @@ class Engine:
     """One n-qubit simulation context: store, root edge, caches, statistics.
 
     Qubit k is 1-based with qubit n the top level.  The root starts at
-    |0...0>.  ``run_gate`` and ``run_mcx`` are its gate entries;
-    ``debug=True`` re-audits the store after every gate."""
+    |0...0>.  ``run_gate`` and ``run_mcx`` are its gate entries."""
 
-    def __init__(self, n: int, mode: str = "limdd", debug: bool = False):
+    def __init__(self, n: int, mode: str = "limdd"):
         n = _index(n, "qubit count")
         if n < 1:
             raise EngineError("need at least one qubit")
@@ -241,7 +234,6 @@ class Engine:
             raise EngineError(f"unknown mode {mode!r}")
         self.n = n
         self.mode = mode
-        self.debug = debug
         self.store = DiagramStore("pauli" if mode == "limdd" else "identity")
         self.stats = EngineStats()
         e = Edge(identity(0), self.store.leaf)
@@ -300,8 +292,6 @@ class Engine:
             e0, e1 = self.store.leaf_scalars(e)
             f0, f1 = self.store.leaf_scalars(f)
             return self._node(self._leaf_add(e0, f0), self._leaf_add(e1, f1), v)
-        if v.nid > f.target.nid:
-            e, f = f, e
         key = self._pair_key("+", e, f)
         disc, k = key
         if e.target is f.target and not (disc[3] or disc[4]):
@@ -326,12 +316,9 @@ class Engine:
         """(|e> + |f>, |e> - |f>) at one level in one descent: each level
         follows both operands once and descends on the child pairs.
 
-        The entry of (e, f) is keyed as ``add`` keys it; a key scalar in the
-        lower half-plane is folded onto (e, -f), whose sum and difference
-        are the same pair swapped, so both signs share one entry.  Level-1
-        pairs and one-node pairs take ``add``'s two table-free exits.  A
-        call counts as two Adds in ``add_calls`` and in the hit or miss
-        count."""
+        The entry of (e, f) is keyed as ``add`` keys it.  Level-1 pairs and
+        one-node pairs take ``add``'s two table-free exits.  A call counts as
+        two Adds in ``add_calls`` and in the hit or miss count."""
         st = self.stats
         st.add_calls += 2
         if is_zero(e.label):
@@ -346,37 +333,29 @@ class Engine:
             st.add_cache_misses += 2
             e0, e1 = self.store.leaf_scalars(e)
             f0, f1 = self.store.leaf_scalars(f)
-            s0, d0 = self._leaf_butterfly(e0, f0)
-            s1, d1 = self._leaf_butterfly(e1, f1)
-            return self._node(s0, s1, v), self._node(d0, d1, v)
-        swap = v.nid > f.target.nid
-        if swap:
-            e, f = f, e
-        disc, ks = self._pair_key("h", e, f)
+            n0, n1 = (None if b is None else -b for b in (f0, f1))
+            s = self._node(self._leaf_add(e0, f0), self._leaf_add(e1, f1), v)
+            return s, self._node(self._leaf_add(e0, n0), self._leaf_add(e1, n1), v)
+        key = self._pair_key("h", e, f)
+        disc, k = key
         if e.target is f.target and not (disc[3] or disc[4]):
-            # f = ks e modulo the node's stabilizers
+            # f = k e modulo the node's stabilizers
             st.add_cache_misses += 2
-            return self._times(1.0 + ks, ks, e), self._times(1.0 - ks, ks, e)
-        fold = ks.real < 0 or (ks.real == 0 and ks.imag < 0)
-        if fold:
-            f, ks = scale_edge(-1.0, f), -ks
-        key = (disc, ks)
+            return self._times(1.0 + k, k, e), self._times(1.0 - k, k, e)
         got = self._add_cache.get(*key)
         if got is None:
             st.add_cache_misses += 2
-            return self._butterfly_miss(e, f, key, fold, swap)
+            return self._butterfly_miss(e, f, key)
         st.add_cache_hits += 2
-        s, d = (Edge(mul(e.label, g.label), g.target) for g in got)
-        return _unfold(s, d, fold, swap)
+        return tuple(Edge(mul(e.label, g.label), g.target) for g in got)
 
-    def _butterfly_miss(self, e: Edge, f: Edge, key, fold: bool, swap: bool):
+    def _butterfly_miss(self, e: Edge, f: Edge, key):
         s0, d0 = yield self._butterfly(self.store.follow(e, 0), self.store.follow(f, 0))
         s1, d1 = yield self._butterfly(self.store.follow(e, 1), self.store.follow(f, 1))
-        s = self._node(s0, s1, e.target)
-        d = self._node(d0, d1, e.target)
+        res = (self._node(s0, s1, e.target), self._node(d0, d1, e.target))
         inv = inverse(e.label)
-        self._add_cache.put(*key, tuple(Edge(mul(inv, r.label), r.target) for r in (s, d)))
-        return _unfold(s, d, fold, swap)
+        self._add_cache.put(*key, tuple(Edge(mul(inv, r.label), r.target) for r in res))
+        return res
 
     def _cross(self, e: Edge, f: Edge, c: int):
         """P0|e> + P1|f> at one level, P_b the projector onto qubit c = b.
@@ -449,15 +428,6 @@ class Engine:
         if b is None:
             return self._leaf(a)
         return self._leaf_sum(a, b)
-
-    def _leaf_butterfly(self, a: Optional[complex], b: Optional[complex]) -> tuple:
-        """The leaf butterfly of amplitudes a and b (None a zero term)."""
-        if a is None:
-            return self._leaf(b), self._leaf(None if b is None else -1.0 * b)
-        if b is None:
-            e = self._leaf(a)
-            return e, e
-        return self._leaf_sum(a, b), self._leaf_sum(a, -b)
 
     @staticmethod
     def _times(c: complex, k: complex, e: Edge) -> Edge:
@@ -886,12 +856,10 @@ class Engine:
 
     def set_root(self, e: Edge) -> None:
         """Make ``e`` the current state.  The one place that tracks the peak
-        store size and, in debug mode, re-audits the store."""
+        store size."""
         self.root = e
         if self.store.node_count() > self.stats.peak_nodes:
             self.stats.peak_nodes = self.store.node_count()
-        if self.debug:
-            self.store.audit()
 
     def collect(self) -> None:
         """Sweep the store down to what the roots reach (the root, ``_ids``
@@ -908,8 +876,6 @@ class Engine:
         self._unary_cache = {}
         self._reach_cache = {}
         self._apply_cache = {}
-        if self.debug:
-            store.audit()
 
     def amplitude(self, bits) -> complex:
         return self.store.amplitude(self.root, bits)

@@ -85,9 +85,6 @@ class PauliLim:
         """The 2n-bit check string (x_n..x_1 z_n..z_1) as one integer."""
         return (self.x << self.n) | self.z
 
-    def is_identity_string(self) -> bool:
-        return self.x == 0 and self.z == 0
-
 
 class ZeroLim:
     """The zero operator on ``n`` qubits (the label of an all-zero branch)."""
@@ -117,13 +114,13 @@ def zero(n: int) -> ZeroLim:
     return ZeroLim(n)
 
 
-def single(n: int, qubit: int, letter: str, scalar: complex = 1.0) -> PauliLim:
-    """The operator ``scalar * letter`` acting on 1-based ``qubit``."""
+def single(n: int, qubit: int, letter: str) -> PauliLim:
+    """The operator ``letter`` acting on 1-based ``qubit``."""
     if not 1 <= qubit <= n:
         raise PauliError(f"qubit {qubit} out of range 1..{n}")
     xb, zb = _LETTER_BITS[letter.upper()]
     b = qubit - 1
-    return PauliLim(n, xb << b, zb << b, scalar)
+    return PauliLim(n, xb << b, zb << b)
 
 
 def is_zero(a: Lim) -> bool:
@@ -167,13 +164,12 @@ def neg(a: Lim) -> Lim:
     return scale(-1.0, a)
 
 
-def tensor_top(letter: str, a: Lim, extra_scalar: complex = 1.0) -> Lim:
-    """(letter (x) a) on n+1 qubits, optionally scaled; the new qubit is the top."""
+def tensor_top(letter: str, a: Lim) -> Lim:
+    """(letter (x) a) on n+1 qubits; the new qubit is the top."""
     if isinstance(a, ZeroLim):
         return ZeroLim(a.n + 1)
     xb, zb = _LETTER_BITS[letter.upper()]
-    out = PauliLim(a.n + 1, a.x | (xb << a.n), a.z | (zb << a.n), a.scalar)
-    return scale(extra_scalar, out) if extra_scalar != 1.0 else out
+    return PauliLim(a.n + 1, a.x | (xb << a.n), a.z | (zb << a.n), a.scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,8 @@ class AnnealConfig:
             raise StabRankError("schedule lengths must be positive")
         if self.beta_end < self.beta_start:
             raise StabRankError("beta schedule must not decrease")
+        if self.seed < 0:
+            raise StabRankError(f"seed must be non-negative, not {self.seed}")
 
 
 @dataclass
@@ -86,14 +88,13 @@ def fidelity(vectors: np.ndarray, target: np.ndarray) -> float:
 
 
 def anneal_step(vectors: np.ndarray, target: np.ndarray, beta: float, rng,
-                current_f: Optional[float] = None):
-    """One proposed replacement; returns (vectors, fidelity, accepted)."""
+                current_f: float):
+    """One proposed replacement from V = ``vectors`` of fidelity
+    ``current_f``; returns (vectors, fidelity, accepted)."""
     import numpy as np
 
     n = target.size.bit_length() - 1
     chi = vectors.shape[1]
-    if current_f is None:
-        current_f = fidelity(vectors, target)
     j = int(rng.integers(0, chi))
     while True:
         x = int(rng.integers(0, 1 << n))
@@ -147,6 +148,8 @@ def search_with_restarts(
     n: int, w: int, chi: int, restarts: int = 1, seed: int = 0, **schedule
 ) -> SearchResult:
     """Independent seeded runs; first success wins, steps accumulate."""
+    if restarts < 1:
+        raise StabRankError(f"need at least one restart, not {restarts}")
     total = 0
     last: Optional[SearchResult] = None
     for r in range(restarts):

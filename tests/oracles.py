@@ -2,8 +2,10 @@
 
 Everything here works on dense numpy arrays or explicit enumeration so it
 shares no logic with the package under test beyond the data types, except
-``edge_from_dense``, which builds a diagram through ``make_edge``, and
-``sample_by_follow``, which draws by ``DiagramStore.follow``.
+``edge_from_dense``, which builds a diagram through ``make_edge``,
+``sample_by_follow``, which draws by ``DiagramStore.follow``, and
+``audit``, which re-derives groups and labels with the store's own
+``_node_group`` and ``get_labels``.
 Conventions match the package: qubit k is bit k-1 of a basis index, so the
 top qubit n is the most significant bit and the leftmost character of a
 printed bit string.
@@ -24,6 +26,11 @@ Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S2 = np.array([[1, 0], [0, 1j]], dtype=complex)
 T2 = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
+
+
+def is_identity_string(a: PauliLim) -> bool:
+    """Whether the Pauli string of ``a`` is I on every qubit."""
+    return a.x == 0 and a.z == 0
 
 
 def lim_to_matrix(a) -> np.ndarray:
@@ -365,3 +372,62 @@ def sample_by_follow(eng, rng, e) -> str:
         bits.append("01"[b])
         e = eng.store.follow(e, b)
     return "".join(bits)
+
+
+def audit(store) -> None:
+    """Re-walk the store checking every reduction invariant and every
+    node's group, re-derived from its children's; raises DiagramError on a
+    violation."""
+    from limdd.diagram import DiagramError, _scalar_close
+    from limdd.pauli import format_lim, is_zero
+
+    for v in store.nodes[1:]:
+        low, high = v.low, v.high
+        if low.target.index != v.index - 1 or high.target.index != v.index - 1:
+            raise DiagramError(f"{v!r}: child level mismatch")
+        g = store._node_group(v.index, low.target, high.label, high.target)
+        if g.content_key() != v.stab.content_key():
+            raise DiagramError(f"{v!r}: stored group is not the one its children give")
+        if is_zero(low.label):
+            if store.group != "identity":
+                raise DiagramError(f"{v!r}: zero low label")
+            if high.target is not low.target or not (
+                is_identity_string(high.label) and high.label.scalar == 1.0
+            ):
+                raise DiagramError(f"{v!r}: malformed zero-low node")
+            continue
+        if not (is_identity_string(low.label) and low.label.scalar == 1.0):
+            raise DiagramError(f"{v!r}: low label not identity")
+        if is_zero(high.label):
+            if high.target is not low.target:
+                raise DiagramError(f"{v!r}: zero high edge with distinct target")
+            continue
+        if store.group == "pauli" and low.target.nid > high.target.nid:
+            raise DiagramError(f"{v!r}: low precedence violated")
+        bh, _ = store.get_labels(high.label, low.target, high.target)
+        if (bh.x, bh.z) != (high.label.x, high.label.z) or not _scalar_close(
+            bh.scalar, high.label.scalar
+        ):
+            raise DiagramError(
+                f"{v!r}: high label {format_lim(high.label)} is not the "
+                f"canonical {format_lim(bh)}"
+            )
+
+
+def audited_gate(eng, name: str, *qubits: int) -> None:
+    """One gate as ``circuit.build_engine`` runs it (``run_gate``, then
+    ``collect``), then an ``audit`` of the store."""
+    eng.run_gate(name, *qubits)
+    eng.collect()
+    audit(eng.store)
+
+
+def build_audited(c, mode: str):
+    """``circuit.build_engine`` of a circuit of named gates, with the store
+    audited after every gate."""
+    from limdd.engine import Engine
+
+    eng = Engine(c.n, mode=mode)
+    for name, qs in c.ops:
+        audited_gate(eng, name, *(c.n - q for q in qs))
+    return eng

@@ -36,6 +36,7 @@ from oracles import (
     enumerate_group,
     gf2_rank,
     group_keys,
+    is_identity_string,
     op_on_qubit,
     random_clifford_circuit,
     random_stabilizer_genset,
@@ -446,7 +447,7 @@ def test_pauli_toolkit_vs_enumeration():
             )
         truth = (a.x, a.z, 1 if a.scalar.real > 0 else -1) in keys
         _, _, rem = store.arg_lex_min(g, store.empty_set(n), a)
-        assert (rem.is_identity_string() and abs(rem.scalar - 1.0) <= 1e-12) == truth
+        assert (is_identity_string(rem) and abs(rem.scalar - 1.0) <= 1e-12) == truth
         cases += 1
     for _ in range(100):  # diagonal-group intersection equals set intersection
         n = int(rng.integers(1, 4))

@@ -393,6 +393,57 @@ def test_cli_unwritable_dot_path_is_an_error(tmp_path):
     assert isinstance(res.exception, SystemExit)
 
 
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulated before checking the dot path")
+
+
+@pytest.mark.parametrize(
+    "mode, dot, msg",
+    [
+        ("limdd", "missing/x.dot", "cannot write dot file"),
+        ("qmdd", "missing/x.dot", "cannot write dot file"),
+        ("dense", "x.dot", "dot output needs a diagram mode"),
+    ],
+)
+def test_dot_is_checked_before_simulating(tmp_path, monkeypatch, mode, dot, msg):
+    monkeypatch.setattr(circuit_mod, "build_engine", _no_simulation)
+    monkeypatch.setattr(circuit_mod, "dense_simulate", _no_simulation)
+    config = RunConfig(mode=mode, dot=str(tmp_path / dot))
+    with pytest.raises(CircuitError, match=msg):
+        run(config, parse_circuit(BELL))
+    assert not (tmp_path / dot).exists()
+
+
+def test_dot_check_keeps_an_existing_file_until_the_run_ends(tmp_path, monkeypatch):
+    dot = tmp_path / "x.dot"
+    dot.write_text("old\n")
+    with monkeypatch.context() as m:
+        m.setattr(circuit_mod, "build_engine", _no_simulation)
+        with pytest.raises(AssertionError):
+            run(RunConfig(dot=str(dot)), parse_circuit(BELL))
+    assert dot.read_text() == "old\n"
+    run(RunConfig(dot=str(dot)), parse_circuit(BELL))
+    assert dot.read_text().startswith("digraph limdd {")
+
+
+def test_cli_negative_seed_is_an_error(tmp_path):
+    path = tmp_path / "bell.qc"
+    path.write_text(BELL)
+    res = CliRunner().invoke(cli_main, ["run", str(path), "--shots", "3", "--seed", "-1"])
+    assert res.exit_code == 1
+    assert res.output == "error: seed must be non-negative, not -1\n"
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_cli_stabrank_negative_seed_is_an_error():
+    res = CliRunner().invoke(
+        cli_main, ["stabrank", "--n", "3", "--w", "1", "--chi", "2", "--seed", "-1"]
+    )
+    assert res.exit_code == 1
+    assert res.output == "error: seed must be non-negative, not -1\n"
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_cli_shots_past_the_recursion_limit(tmp_path):
     # --shots walks Engine.sample, which does not recurse
     path = tmp_path / "deep.qc"

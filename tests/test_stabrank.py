@@ -174,3 +174,11 @@ def test_config_validation():
         AnnealConfig(3, 1, 1, beta_start=10.0, beta_end=1.0)
     with pytest.raises(StabRankError):
         AnnealConfig(3, 1, 1, beta_steps=0)
+    with pytest.raises(StabRankError):
+        AnnealConfig(3, 1, 1, seed=-1)
+
+
+def test_search_with_no_restarts_is_an_error():
+    for restarts in (0, -1):
+        with pytest.raises(StabRankError, match="at least one restart"):
+            search_with_restarts(3, 1, 2, restarts=restarts)

@@ -20,7 +20,7 @@ from limdd.states import (
     stabilizer_state,
     w_state_as_circuit,
 )
-from oracles import random_clifford_circuit
+from oracles import audit, random_clifford_circuit
 
 
 def graph_dense(g: Graph) -> np.ndarray:
@@ -86,7 +86,7 @@ def test_random_graph_states_match_dense():
         eng = graph_state(g)
         assert np.max(np.abs(eng.to_dense() - graph_dense(g))) < 1e-12
         assert eng.node_count() == n
-        eng.store.audit()
+        audit(eng.store)
 
 
 def test_graph_state_gate_route_agrees():
@@ -115,7 +115,7 @@ def test_gate_constructors_keep_the_store_bounded():
         assert eng.store.node_count() < _SWEEP_RATIO * eng._kept
     assert engines[0].node_count() == 1725
     assert engines[1].node_count() == 24
-    engines[1].store.audit()
+    audit(engines[1].store)
 
 
 def test_graph_validation():
@@ -171,7 +171,7 @@ def test_random_cosets_support():
         for idx in range(1 << n):
             want = amp if idx in members else 0.0
             assert abs(vec[idx] - want) < 1e-12
-        eng.store.audit()
+        audit(eng.store)
 
 
 def test_coset_validation():
@@ -207,7 +207,7 @@ def test_stabilizer_states_are_towers():
         n = int(rng.integers(2, 9))
         eng = stabilizer_state(n, random_clifford_circuit(n, rng, 3 * n))
         assert eng.node_count() == n
-        eng.store.audit()
+        audit(eng.store)
 
 
 def test_stabilizer_state_rejects_non_clifford():

@@ -4,7 +4,7 @@ Most tests force a sweep at every gate boundary by patching
 ``engine._SWEEP_RATIO`` to 0, and check the store at every boundary by
 wrapping ``Engine.collect``: ids strictly increasing, no table, cache or
 root naming a node the store does not hold, and after each sweep a clean
-``audit()``, no Pauli-equivalent duplicates and exactly the nodes the roots
+``audit``, no Pauli-equivalent duplicates and exactly the nodes the roots
 reach."""
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from limdd.diagram import DiagramStore, Edge
 from limdd.engine import Engine
 from limdd.pauli import PauliLim, identity, zero
 from limdd.states import w_state_as_circuit
-from oracles import cluster_circuit, pauli_duplicate_nodes
+from oracles import audit, cluster_circuit, pauli_duplicate_nodes
 
 _GATES = ("h", "s", "sdg", "t", "tdg", "x", "y", "z", "cx", "cz")
 
@@ -106,7 +106,7 @@ def boundaries(monkeypatch):
         swept = self.stats.sweeps > before
         if swept:
             assert set(ids) == _reached(_roots(self))
-            store.audit()
+            audit(store)
             if store.group == "pauli":
                 assert pauli_duplicate_nodes(store, 4) == []
         log.append((self, store.node_count(), self._kept, swept))
